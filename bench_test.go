@@ -405,12 +405,15 @@ func BenchmarkWideMask(b *testing.B) {
 	}
 }
 
-// BenchmarkPipeline measures the sharded streaming pipeline across lane and
-// worker counts on the same workloads as BenchmarkLaneSet. With idle cores
-// available, throughput scales near-linearly in workers until workers
-// reaches the lane count (lanes are the sharding unit); compare
-// lanes=32/workers=8 against BenchmarkLaneSet/lanes=32 for the headline
-// speedup.
+// BenchmarkPipeline measures one whole Pipeline.Run per op — worker spawn,
+// chunk hand-off and encode — over the same 512-frame OPT-FIXED BL8
+// workloads as BenchmarkLaneSet, at 8, 16 and 32 lanes and 1, 2, 4 and 8
+// workers. Every worker count encodes each frame (or each worker's lane
+// range of it) through the same LaneBatch kernel, so the sub-benchmarks
+// show what sharding adds or costs on top of the single-goroutine batch
+// path; the effective worker count is capped at the lane count, and any
+// gain is bounded by the host's idle cores. BenchmarkLaneSet is the
+// per-lane Transmit path on the same frames.
 func BenchmarkPipeline(b *testing.B) {
 	for _, lanes := range []int{8, 16, 32} {
 		const frames = 512

@@ -4,8 +4,10 @@
 // LaneSet.TransmitBatch, the pipeline shard workers, the serving tier — pay
 // one call per frame instead of one interface dispatch per lane. Table-
 // driven schemes implement BatchEncoder natively with fused or interleaved
-// bit-parallel kernels; trellis schemes run through a generic per-lane
-// driver over the same arrays, still mask-native via the wide path.
+// bit-parallel kernels, and the unit-coefficient trellis at BL8 runs the
+// fused core of kernel.go per lane; other trellis points run through a
+// generic per-lane driver over the same arrays, still mask-native via the
+// wide path.
 package dbi
 
 import (

@@ -52,7 +52,7 @@ func checkBatchAgainstSerial(t *testing.T, label string, ref, got *LaneSet, fram
 // the single-word and inline bounds.
 func TestLaneBatchMatchesSerial(t *testing.T) {
 	const lanes = 11 // odd: exercises the 8-lane interleave remainder
-	for _, beats := range []int{16, 64, 65, 128, 256, 300} {
+	for _, beats := range []int{8, 16, 64, 65, 128, 256, 300} {
 		for _, name := range Names() {
 			enc, err := New(name, FixedWeights)
 			if err != nil {

@@ -216,7 +216,7 @@ func CompileEncoder(enc Encoder, geom Geometry) *Kernel {
 			k.ia, k.ib, k.intOK = ia, ib, true
 			k.mask, k.words = maskOptIntK, wordsOptIntK
 			if ia == 1 && ib == 1 {
-				k.wire = wireOptUnit8K
+				k.bindOptUnit8()
 			}
 		} else {
 			k.mask, k.words = maskOptFloatK, wordsOptFloatK
@@ -226,7 +226,7 @@ func CompileEncoder(enc Encoder, geom Geometry) *Kernel {
 		k.ia, k.ib, k.intOK = int64(e.Alpha), int64(e.Beta), true
 		k.mask, k.words = maskOptIntK, wordsQuantIntK
 		if k.ia == 1 && k.ib == 1 {
-			k.wire = wireOptUnit8K
+			k.bindOptUnit8()
 		}
 	case Exhaustive:
 		k.weights = e.Weights
@@ -249,6 +249,15 @@ func CompileEncoder(enc Encoder, geom Geometry) *Kernel {
 		}
 	}
 	return k
+}
+
+// bindOptUnit8 routes a unit-coefficient trellis kernel (OPT-FIXED, or OPT
+// and QUANTISED at alpha = beta = 1) through the one fused BL8 core,
+// optUnit8, at every entry point: the packed mask (and so Advance and the
+// shadow chains), the frame-level batch and the Stream's wire fill. Other
+// burst lengths keep the loop trellis and the wide paths.
+func (k *Kernel) bindOptUnit8() {
+	k.mask, k.batch, k.wire = maskOptUnit8K, batchOptUnit8K, wireOptUnit8K
 }
 
 // EncodeMask runs the compiled single-word mask path. ok is false when the
@@ -662,7 +671,7 @@ func batchIfaceK(k *Kernel, lb *LaneBatch) bool {
 	return k.benc.EncodeBatch(lb)
 }
 
-// ---- The fused unit-coefficient wire kernel ---------------------------
+// ---- The fused unit-coefficient BL8 core -----------------------------
 
 // popBytes computes the per-byte population counts of w in parallel: byte j
 // of the result holds ones(byte j of w).
@@ -674,23 +683,22 @@ func popBytes(w uint64) uint64 {
 	return (v + v>>4) & 0x0f0f0f0f0f0f0f0f
 }
 
-// wireOptUnit8K is the fully fused OPT trellis for unit coefficients
-// (alpha = beta = 1, the paper's OPT-FIXED hardware) at the native BL8
-// burst length: per-byte SWAR popcounts feed a manually unrolled
-// forward-mask trellis (no backtrack — each beat's branch-free select
-// carries both candidate masks forward in registers), the winning mask
-// expands into the wire image with the bit-smear multiply, and the cost and
-// final state fall out of two popcounts. One straight-line pass, no memory
-// traffic beyond the 8 payload bytes and the wire scratch. Bit-identical to
-// trellisMaskInt + FillMaskCost + FinalState, including tie-breaking
-// (pinned by FuzzKernelEquivalence and TestKernelFusedMatchesMaskPath).
+// optUnit8 is the OPT trellis for unit coefficients (alpha = beta = 1, the
+// paper's OPT-FIXED hardware) at the native BL8 burst length, over the
+// burst's 8 payload bytes packed little-endian in w8. Per-byte SWAR
+// popcounts feed a manually unrolled forward-mask trellis: no backtrack,
+// because each beat's branch-free select carries both candidate masks
+// forward in registers. It returns the inversion pattern in the low 8 bits,
+// bit-identical to trellisMaskInt(prev, b, 1, 1) including tie-breaking
+// (pinned by TestKernelFusedMatchesMaskPath and FuzzKernelEquivalence).
+// It is the one BL8 unit-weight trellis behind the mask, batch and wire
+// entry points.
 //
 // The unroll is deliberate: the loop form spills the two mask registers to
 // the stack on every iteration, costing ~30% of the whole kernel.
 //
 //dbi:hotpath
-func wireOptUnit8K(_ *Kernel, w *bus.Wire, prev bus.LineState, b bus.Burst) (bus.Cost, bus.LineState) {
-	w8 := binary.LittleEndian.Uint64(b)
+func optUnit8(w8 uint64, prev bus.LineState) uint64 {
 	pv := popBytes(w8)
 	yv := popBytes(w8 ^ (w8<<8 | uint64(prev.Data)))
 
@@ -809,17 +817,79 @@ func wireOptUnit8K(_ *Kernel, w *bus.Wire, prev bus.LineState, b bus.Burst) (bus
 	mp, mi = mi&selp|mp&^selp, (mi&seli|mp&^seli)|1<<7
 
 	// Cheaper final node wins; ties prefer non-inverted, matching
-	// backtrackMask.
+	// backtrackMask. A select, not a branch: the winner is data-dependent.
 	m := mp
 	if ci < cp {
 		m = mi
 	}
-	g := m & 0xff
+	return m & 0xff
+}
+
+// settleUnit8 applies an 8-beat inversion pattern g to the packed burst w8
+// and returns the wire's DQ word with the exact activity counts and final
+// line state, from two popcounts: DQ zeros are the cleared bits of the
+// inverted wire word, the DBI wire contributes one zero per inverted beat
+// (the wire idles high) and toggles where consecutive decisions differ,
+// seeded against prev.DBI.
+//
+//dbi:hotpath
+func settleUnit8(w8, g uint64, prev bus.LineState) (wi uint64, c bus.Cost, next bus.LineState) {
 	// Smear each decision bit across its wire byte and apply: the same
 	// expansion bus.expandMaskBits uses, fused with the XOR.
-	x := g * 0x0101010101010101 & 0x8040201008040201
-	x = (x + 0x7f7f7f7f7f7f7f7f) & 0x8080808080808080
-	wi := w8 ^ x>>7*0xff
+	wi = w8 ^ (g*0x0101010101010101&0x8040201008040201+0x7f7f7f7f7f7f7f7f)&0x8080808080808080>>7*0xff
+	// The inversion level entering beat 0 is the complement of prev.DBI.
+	d := g<<1 | 1
+	if prev.DBI {
+		d--
+	}
+	c.Zeros = bits.OnesCount64(g) + 64 - bits.OnesCount64(wi)
+	c.Transitions = bits.OnesCount64((g^d)&0xff) + bits.OnesCount64(wi^(wi<<8|uint64(prev.Data)))
+	return wi, c, bus.LineState{Data: byte(wi >> 56), DBI: g < 0x80}
+}
+
+// maskOptUnit8K is maskOptIntK for unit coefficients: BL8 bursts take the
+// fused core, every other length the loop trellis.
+//
+//dbi:hotpath
+func maskOptUnit8K(k *Kernel, prev bus.LineState, b bus.Burst) (bus.InvMask, bool) {
+	if len(b) == bus.BurstLength {
+		return bus.InvMask(optUnit8(binary.LittleEndian.Uint64(b), prev)), true
+	}
+	return maskOptIntK(k, prev, b)
+}
+
+// batchOptUnit8K is the frame-level form of the fused core: every lane of a
+// BL8 batch runs optUnit8 and settles its cost and next state in the same
+// pass, so the batch pays neither the backtrack nor the separate settle
+// pass. Other burst lengths decline to the per-lane driver.
+//
+//dbi:hotpath
+func batchOptUnit8K(_ *Kernel, lb *LaneBatch) bool {
+	if lb.beats != bus.BurstLength {
+		return false
+	}
+	// One mask word per lane at 8 beats, and Reset cleared it.
+	for l, prev := range lb.prev {
+		w8 := binary.LittleEndian.Uint64(lb.data[l*bus.BurstLength:])
+		g := optUnit8(w8, prev)
+		lb.masks[l] = g
+		_, lb.costs[l], lb.next[l] = settleUnit8(w8, g, prev)
+	}
+	lb.settled = true
+	return true
+}
+
+// wireOptUnit8K is the Stream's fused wire kernel over the same core: the
+// winning mask fills the wire image, and the cost and final state fall out
+// of settleUnit8. One straight-line pass, no memory traffic beyond the 8
+// payload bytes and the wire scratch; bit-identical to trellisMaskInt +
+// FillMaskCost + FinalState.
+//
+//dbi:hotpath
+func wireOptUnit8K(_ *Kernel, w *bus.Wire, prev bus.LineState, b bus.Burst) (bus.Cost, bus.LineState) {
+	w8 := binary.LittleEndian.Uint64(b)
+	g := optUnit8(w8, prev)
+	wi, c, next := settleUnit8(w8, g, prev)
 	if cap(w.Data) < 8 {
 		w.Data = make([]byte, 8) //dbi:allow-escape wire scratch growth on first use, amortized across bursts
 	}
@@ -838,16 +908,5 @@ func wireOptUnit8K(_ *Kernel, w *bus.Wire, prev bus.LineState, b bus.Burst) (bus
 	dbi[6] = g>>6&1 == 0
 	dbi[7] = g>>7&1 == 0
 	w.DBI = dbi
-	// Exact accounting from two popcounts: DQ zeros are the cleared bits of
-	// the inverted wire word, the DBI wire contributes one zero per
-	// inverted beat (the wire idles high) and toggles where consecutive
-	// decisions differ, seeded against prev.DBI.
-	var carry uint64
-	if !prev.DBI {
-		carry = 1
-	}
-	var c bus.Cost
-	c.Zeros = bits.OnesCount64(g) + 64 - bits.OnesCount64(wi)
-	c.Transitions = bits.OnesCount64((g^(g<<1|carry))&0xff) + bits.OnesCount64(wi^(wi<<8|uint64(prev.Data)))
-	return c, bus.LineState{Data: byte(wi >> 56), DBI: g>>7&1 == 0}
+	return c, next
 }

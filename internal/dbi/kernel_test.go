@@ -1,6 +1,7 @@
 package dbi
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"testing"
 
@@ -45,14 +46,16 @@ func init() {
 // for every registered scheme — the nine built-ins plus the third-party
 // probe — and arbitrary payloads, prior states, burst lengths (narrow and
 // wide) and weight regimes, every kernel entry point (EncodeMask,
-// EncodeMaskWords, Advance, and the Stream transmit path) must agree bit
-// for bit with the scheme's own EncodeInto oracle.
+// EncodeMaskWords, Advance, the Stream transmit path, and EncodeBatch over
+// a multi-lane batch whose lanes start from distinct prior states) must
+// agree bit for bit with the scheme's own EncodeInto oracle.
 func FuzzKernelEquivalence(f *testing.F) {
 	f.Add([]byte{0x8E, 0x86, 0x96, 0xE9, 0x7D, 0xB7, 0x57, 0xC4}, byte(0xFF), true, uint8(1), uint8(1), uint16(8))
 	f.Add([]byte{}, byte(0), false, uint8(3), uint8(5), uint16(0))
 	f.Add([]byte{0x00, 0xFF, 0x00, 0xFF}, byte(0xAA), false, uint8(0), uint8(2), uint16(64))
 	f.Add([]byte{0x55, 0xAA, 0x55}, byte(0x0F), true, uint8(7), uint8(0), uint16(130))
 	f.Add([]byte{0xDE, 0xAD, 0xBE, 0xEF}, byte(0x3C), true, uint8(2), uint8(4), uint16(65))
+	f.Add([]byte{0x00, 0xFF, 0x55, 0xAA, 0x0F}, byte(0x55), false, uint8(1), uint8(0), uint16(8))
 	f.Fuzz(func(t *testing.T, payload []byte, prevData byte, prevDBI bool, qa, qb uint8, rawN uint16) {
 		n := int(rawN) % 200
 		if len(payload) == 0 {
@@ -70,6 +73,20 @@ func FuzzKernelEquivalence(f *testing.F) {
 			{Alpha: float64(qa%8) + 0.5, Beta: float64(qb%8) + 0.25},
 			{Alpha: float64(qa%8) + 0.3, Beta: float64(qb%8) + 0.7},
 		}
+		// The batch lanes: lane l carries the tile rotated by l beats and
+		// XORed with a lane constant, from its own prior state, so lanes
+		// neither share payloads nor start alike.
+		const batchLanes = 5
+		laneBursts := make([]bus.Burst, batchLanes)
+		lanePrev := make([]bus.LineState, batchLanes)
+		for l := range laneBursts {
+			laneBursts[l] = make(bus.Burst, n)
+			for i := range laneBursts[l] {
+				laneBursts[l][i] = payload[(i+l)%len(payload)] ^ byte(l*0x3D)
+			}
+			lanePrev[l] = bus.LineState{Data: prevData ^ byte(l*0x5B), DBI: prevDBI != (l%2 == 1)}
+		}
+		var lb LaneBatch
 		var wm bus.WideMask
 		for _, w := range weightCases {
 			for _, name := range Names() {
@@ -119,9 +136,113 @@ func FuzzKernelEquivalence(f *testing.F) {
 				if st.TotalCost() != wantC {
 					t.Fatalf("%s w=%+v n=%d: stream cost %+v != oracle %+v", name, w, n, st.TotalCost(), wantC)
 				}
+
+				lb.Reset(batchLanes, n)
+				for l := range laneBursts {
+					lb.SetPrev(l, lanePrev[l])
+					lb.SetLane(l, laneBursts[l])
+				}
+				kern.EncodeBatch(&lb)
+				for l, lbu := range laneBursts {
+					linv := oracle.Encode(lanePrev[l], lbu)
+					lwire := bus.Apply(lbu, linv)
+					words := lb.MaskWords(l)
+					for i := range linv {
+						if got := words[i>>6]>>(i&63)&1 == 1; got != linv[i] {
+							t.Fatalf("%s w=%+v n=%d: batch lane %d beat %d = %v, oracle %v",
+								name, w, n, l, i, got, linv[i])
+						}
+					}
+					if c := lwire.Cost(lanePrev[l]); lb.Cost(l) != c {
+						t.Fatalf("%s w=%+v n=%d: batch lane %d cost %+v != oracle %+v", name, w, n, l, lb.Cost(l), c)
+					}
+					if s := lwire.FinalState(lanePrev[l]); lb.Next(l) != s {
+						t.Fatalf("%s w=%+v n=%d: batch lane %d next %+v != oracle %+v", name, w, n, l, lb.Next(l), s)
+					}
+				}
 			}
 		}
 	})
+}
+
+// TestKernelFusedMatchesMaskPath pins the fused BL8 unit-coefficient core,
+// which the Stream's wire kernel, the packed mask path and the frame-level
+// batch kernel all share, against an oracle that is not itself: the loop
+// trellis trellisMaskInt(prev, b, 1, 1) for the mask, and bus.MaskCost /
+// bus.MaskFinalState for the cost and next state. It sweeps all 512 prior
+// line states over seeded random bursts and tie-heavy bursts (constant
+// 0x00/0xFF/0x55/0xAA, alternating 0x55/0xAA and 0x00/0xFF, and random
+// draws from those balanced bytes), then checks each compiled entry point
+// of the OPT-FIXED kernel on the same grid.
+func TestKernelFusedMatchesMaskPath(t *testing.T) {
+	rep := func(v ...byte) bus.Burst {
+		b := make(bus.Burst, bus.BurstLength)
+		for i := range b {
+			b[i] = v[i%len(v)]
+		}
+		return b
+	}
+	bursts := []bus.Burst{
+		rep(0x00), rep(0xFF), rep(0x55), rep(0xAA), rep(0x55, 0xAA), rep(0xAA, 0x55),
+		rep(0x00, 0xFF), rep(0xFF, 0x00), rep(0x0F, 0xF0), rep(0x00, 0x00, 0xFF, 0xFF),
+	}
+	rng := rand.New(rand.NewSource(65))
+	ties := []byte{0x00, 0xFF, 0x55, 0xAA, 0x0F, 0xF0, 0x33, 0xCC}
+	for i := 0; i < 64; i++ {
+		b := make(bus.Burst, bus.BurstLength)
+		for j := range b {
+			b[j] = ties[rng.Intn(len(ties))]
+		}
+		bursts = append(bursts, b, randomBurst(rng, bus.BurstLength))
+	}
+
+	kern, err := Compile("OPT-FIXED", FixedWeights, Geometry{Beats: bus.BurstLength})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lb LaneBatch
+	var wire bus.Wire
+	for s := 0; s < 512; s++ {
+		prev := bus.LineState{Data: byte(s), DBI: s >= 256}
+		lb.Reset(len(bursts), bus.BurstLength)
+		for l, b := range bursts {
+			lb.SetPrev(l, prev)
+			lb.SetLane(l, b)
+		}
+		kern.EncodeBatch(&lb)
+		for l, b := range bursts {
+			want := trellisMaskInt(prev, b, 1, 1)
+			wantC, wantS := bus.MaskCost(prev, b, want), bus.MaskFinalState(prev, b, want)
+
+			w8 := binary.LittleEndian.Uint64(b)
+			g := optUnit8(w8, prev)
+			if bus.InvMask(g) != want {
+				t.Fatalf("prev %+v burst %x: core mask %08b, loop trellis %08b", prev, []byte(b), g, want)
+			}
+			wi, c, next := settleUnit8(w8, g, prev)
+			if c != wantC || next != wantS {
+				t.Fatalf("prev %+v burst %x: core settle (%+v, %+v), mask path (%+v, %+v)",
+					prev, []byte(b), c, next, wantC, wantS)
+			}
+			if dq := bus.ApplyMask(b, want).Data; binary.LittleEndian.Uint64(dq) != wi {
+				t.Fatalf("prev %+v burst %x: core wire word %016x, mask path %x", prev, []byte(b), wi, []byte(dq))
+			}
+
+			if m, ok := kern.EncodeMask(prev, b); !ok || m != want {
+				t.Fatalf("prev %+v burst %x: EncodeMask (%08b, %v), loop trellis %08b", prev, []byte(b), m, ok, want)
+			}
+			if m, _ := lb.Mask(l); m != want || lb.Cost(l) != wantC || lb.Next(l) != wantS {
+				t.Fatalf("prev %+v burst %x: batch (%08b, %+v, %+v), mask path (%08b, %+v, %+v)",
+					prev, []byte(b), m, lb.Cost(l), lb.Next(l), want, wantC, wantS)
+			}
+			c, next = kern.wire(kern, &wire, prev, b)
+			wm, _ := wire.InvMask()
+			if c != wantC || next != wantS || wm != want || binary.LittleEndian.Uint64(wire.Data) != wi {
+				t.Fatalf("prev %+v burst %x: wire kernel (%+v, %+v) %v, mask path (%+v, %+v)",
+					prev, []byte(b), c, next, wire, wantC, wantS)
+			}
+		}
+	}
 }
 
 // TestThirdPartyKernelParity pins the generic fallback kernel: a scheme the

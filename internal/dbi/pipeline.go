@@ -164,7 +164,7 @@ func (p *Pipeline) Run(src FrameSource) (*PipelineResult, error) {
 	var frames int
 	var err error
 	if workers := p.Workers(); workers <= 1 || !p.kern.stateless {
-		frames, err = p.runSerial(src, streams)
+		frames, err = p.runSerial(src, streams, p.kern)
 	} else {
 		frames, err = p.runSharded(src, streams, p.kern, workers)
 	}
@@ -202,7 +202,7 @@ func (p *Pipeline) RunLanes(src FrameSource, ls *LaneSet) (int, error) {
 	}
 	workers := p.Workers()
 	if workers <= 1 || !ls.shardable() {
-		return p.runSerial(src, ls.lanes)
+		return p.runSerial(src, ls.lanes, ls.kern)
 	}
 	// ls.kern is nil for adaptive lane sets, which routes every frame
 	// through the per-lane path inside the workers — adapters must observe
@@ -220,8 +220,12 @@ func (p *Pipeline) checkFrame(n int, f bus.Frame) error {
 
 // runSerial is the single-goroutine path: frame-major, lane-minor, the
 // exact evaluation order of LaneSet.Transmit. Stateful encoders rely on
-// this order for determinism.
-func (p *Pipeline) runSerial(src FrameSource, streams []*Stream) (int, error) {
+// this order for determinism, which the batch's per-lane driver keeps.
+// Each frame goes through transmitLanes over all lanes, as in the shard
+// workers.
+func (p *Pipeline) runSerial(src FrameSource, streams []*Stream, k *Kernel) (int, error) {
+	lb := getLaneBatch()
+	defer putLaneBatch(lb)
 	frames := 0
 	for {
 		f, err := src.NextFrame()
@@ -234,9 +238,7 @@ func (p *Pipeline) runSerial(src FrameSource, streams []*Stream) (int, error) {
 		if err := p.checkFrame(frames, f); err != nil {
 			return frames, err
 		}
-		for i, b := range f {
-			streams[i].Transmit(b)
-		}
+		transmitLanes(k, streams, f, 0, len(streams), lb)
 		frames++
 	}
 }
@@ -249,15 +251,27 @@ type frameBatch struct {
 	refs   atomic.Int32
 }
 
+// transmitLanes encodes lanes [lo, hi) of f. With a uniform compiled
+// policy (k non-nil) the range encodes as one struct-of-arrays LaneBatch —
+// no per-lane dispatch, no wire images — through lb; adaptive lane sets
+// (k nil) and ragged frames fall back to per-lane Transmit.
+//
+//dbi:hotpath
+func transmitLanes(k *Kernel, streams []*Stream, f bus.Frame, lo, hi int, lb *LaneBatch) {
+	if k != nil && transmitBatch(k, streams, f, lo, hi, lb) {
+		return
+	}
+	for i := lo; i < hi; i++ {
+		streams[i].Transmit(f[i])
+	}
+}
+
 // shardWorker drains one worker's chunk channel, transmitting every frame's
-// bursts on the worker's contiguous lane range [lo, hi) and recycling fully
-// consumed batches through the free list. With a uniform compiled policy
-// (k non-nil) each frame's lane range encodes as one struct-of-arrays
-// LaneBatch — no per-lane dispatch, no wire images — through a batch
-// recycled in laneBatchPool across runs; adaptive lane sets (k nil) and
-// ragged frames fall back to per-lane Transmit. This is the sharded
-// pipeline's steady-state loop: per chunk it must allocate nothing, which
-// the escape gate pins.
+// bursts on the worker's contiguous lane range [lo, hi) through a batch
+// recycled in laneBatchPool across runs, and recycling fully consumed
+// batches through the free list. This is the sharded pipeline's
+// steady-state loop: per chunk it must allocate nothing, which the escape
+// gate pins.
 //
 //dbi:hotpath
 func shardWorker(k *Kernel, streams []*Stream, lo, hi int, ch <-chan *frameBatch, free chan<- *frameBatch) {
@@ -265,12 +279,7 @@ func shardWorker(k *Kernel, streams []*Stream, lo, hi int, ch <-chan *frameBatch
 	defer putLaneBatch(lb)
 	for batch := range ch {
 		for _, f := range batch.frames {
-			if k != nil && transmitBatch(k, streams, f, lo, hi, lb) {
-				continue
-			}
-			for i := lo; i < hi; i++ {
-				streams[i].Transmit(f[i])
-			}
+			transmitLanes(k, streams, f, lo, hi, lb)
 		}
 		if batch.refs.Add(-1) == 0 {
 			// Drop the frame references before recycling so the batch does

@@ -324,7 +324,7 @@ func (ls *LaneSet) Transmit(f bus.Frame) []bus.Wire {
 // costs and states only. It reports false (streams untouched) when the
 // lane slice is ragged, the geometry the batch kernels do not model; the
 // caller then falls back to per-lane Transmit. Shared by
-// LaneSet.TransmitBatch and the pipeline's shard workers.
+// LaneSet.TransmitBatch and the pipeline (transmitLanes).
 //
 //dbi:hotpath
 func transmitBatch(k *Kernel, streams []*Stream, f bus.Frame, lo, hi int, lb *LaneBatch) bool {

@@ -353,9 +353,13 @@ func TestServeGracefulDrain(t *testing.T) {
 	// session still serves while new connections are refused.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if _, err := net.DialTimeout("tcp", s.Addr().String(), 100*time.Millisecond); err != nil {
+		probe, err := net.DialTimeout("tcp", s.Addr().String(), 100*time.Millisecond)
+		if err != nil {
 			break
 		}
+		// A probe accepted before the listener closed is a live connection
+		// the drain would wait on; close it.
+		probe.Close()
 		if time.Now().After(deadline) {
 			t.Fatal("listener still accepting after Shutdown started")
 		}
