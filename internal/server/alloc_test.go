@@ -12,6 +12,7 @@ import (
 	"dbiopt/internal/bus"
 	"dbiopt/internal/dbi"
 	"dbiopt/internal/racetag"
+	"dbiopt/internal/trace"
 )
 
 // newLoopConn builds a connection with one open session the way newConn
@@ -202,6 +203,69 @@ func TestServeFrameDeadlinesZeroAlloc(t *testing.T) {
 		t.Fatal("deadlines were never armed")
 	}
 	if st.totals.Frames == 0 {
+		t.Fatal("no work was actually done")
+	}
+}
+
+// batchAllocs replays one pre-serialised batch message of the given frame
+// count through handleBatch and returns AllocsPerRun over it.
+func batchAllocs(t *testing.T, c *conn, frames, lanes, beats int) float64 {
+	t.Helper()
+	var blob bytes.Buffer
+	w, err := trace.NewWriter(&blob, beats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range randomFrames(int64(frames), frames, lanes, beats) {
+		for _, b := range f {
+			if err := w.Write(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var hdr [5]byte
+	putHeader(&hdr, msgBatch, blob.Len())
+	msg := append(hdr[:], blob.Bytes()...)
+
+	br := bytes.NewReader(nil)
+	c.r = bufio.NewReader(br)
+	return testing.AllocsPerRun(20, func() {
+		br.Reset(msg)
+		c.r.Reset(br)
+		typ, n, err := readHeader(c.r, &c.hdr)
+		if err != nil || typ != msgBatch {
+			t.Fatalf("header: %q %v", typ, err)
+		}
+		if err := c.handleBatch(c.single, n); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestServeBatchAllocSlope pins the batch path's per-frame allocation cost:
+// decoding a DBIT blob costs at most two allocations per frame (payload
+// slab and frame header), never one per burst. It checks the slope between
+// two message sizes, not an absolute count, because each message also
+// spawns the pipeline's workers.
+func TestServeBatchAllocSlope(t *testing.T) {
+	if racetag.Enabled {
+		t.Skip("allocation counts are skewed by -race instrumentation")
+	}
+	const lanes, beats, small, large = 8, bus.BurstLength, 64, 256
+	srv, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, st := newLoopConn(t, srv, SessionConfig{Scheme: "OPT-FIXED", Lanes: lanes, Beats: beats}, false, io.Discard)
+	a, b := batchAllocs(t, c, small, lanes, beats), batchAllocs(t, c, large, lanes, beats)
+	if slope := (b - a) / (large - small); slope > 2 {
+		t.Errorf("batch path allocates %.2f times per extra %d-lane frame (%.0f allocs at %d frames, %.0f at %d), want <= 2",
+			slope, lanes, a, small, b, large)
+	}
+	if st.totals.Frames == 0 || st.ls.TotalCost() == (Cost{}) {
 		t.Fatal("no work was actually done")
 	}
 }

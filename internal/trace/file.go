@@ -16,7 +16,10 @@ import (
 //	magic "DBIT" | version u8 | beats u8 | reserved u16 | count u32 |
 //	count * beats payload bytes
 //
-// All integers are little-endian. It exists so cmd/dbienc can persist and
+// All integers are little-endian. A zero count means "until EOF", which is
+// how a writer that cannot seek back (and every in-memory blob) leaves it; a
+// nonzero count is the number of bursts to replay, and a payload that ends
+// before that many is truncated. It exists so cmd/dbienc can persist and
 // replay workloads, and so traces can be exchanged with other tools.
 
 const (
@@ -134,21 +137,49 @@ func (tr *Reader) Beats() int { return tr.beats }
 
 // Read returns the next burst, or io.EOF after the last one.
 func (tr *Reader) Read() (bus.Burst, error) {
-	if tr.count != 0 && tr.read >= tr.count {
-		return nil, io.EOF
-	}
 	b := make(bus.Burst, tr.beats)
-	if _, err := io.ReadFull(tr.r, b); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			if err == io.ErrUnexpectedEOF {
-				return nil, fmt.Errorf("trace: truncated burst: %w", err)
-			}
-			return nil, io.EOF
-		}
-		return nil, fmt.Errorf("trace: reading burst: %w", err)
+	if _, err := tr.readBursts(b); err != nil {
+		return nil, err
 	}
-	tr.read++
 	return b, nil
+}
+
+// readBursts fills p, whose length is a whole number of bursts, with as many
+// bursts as the trace still holds and returns how many it read. It is the
+// one place the format's payload rules live, so Read and FrameReader cannot
+// drift apart:
+//   - a nonzero header count caps the bursts read, and a payload that ends
+//     before that count is a hard "truncated trace" error;
+//   - a zero count means "until EOF": the payload may end at any burst
+//     boundary, returning the bursts read so far and, once none remain,
+//     io.EOF;
+//   - a payload that ends inside a burst is a hard "truncated burst" error.
+func (tr *Reader) readBursts(p []byte) (int, error) {
+	want := len(p) / tr.beats
+	if tr.count != 0 {
+		if left := tr.count - tr.read; uint64(left) < uint64(want) {
+			want = int(left)
+		}
+		if want == 0 {
+			return 0, io.EOF
+		}
+	}
+	got, err := io.ReadFull(tr.r, p[:want*tr.beats])
+	n := got / tr.beats
+	tr.read += uint32(n)
+	switch {
+	case err == nil:
+		return n, nil
+	case err != io.EOF && err != io.ErrUnexpectedEOF:
+		return n, fmt.Errorf("trace: reading burst: %w", err)
+	case got%tr.beats != 0:
+		return n, fmt.Errorf("trace: truncated burst: %w", io.ErrUnexpectedEOF)
+	case tr.count != 0:
+		return n, fmt.Errorf("trace: truncated trace: header declares %d bursts, payload holds %d: %w", tr.count, tr.read, io.ErrUnexpectedEOF)
+	case n == 0:
+		return 0, io.EOF
+	}
+	return n, nil
 }
 
 // ParseHexBurst parses a burst written as whitespace-separated hex bytes,

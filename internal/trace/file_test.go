@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"os"
 	"path/filepath"
@@ -156,6 +157,67 @@ func TestReaderValidation(t *testing.T) {
 	}
 	if _, err := r.Read(); err == nil || err == io.EOF {
 		t.Errorf("truncated burst: got %v, want hard error", err)
+	}
+
+	// A header declaring 10 bursts over a payload cut to 6 whole bursts is
+	// truncated too, not a clean 6-burst trace — for Read and for
+	// NextFrame alike. With count 0 the same payload is a clean 6-burst
+	// trace.
+	const beats, declared, kept = 4, 10, 6
+	cut := func(count uint32) []byte {
+		blob := append([]byte("DBIT"), 1, beats, 0, 0)
+		blob = binary.LittleEndian.AppendUint32(blob, count)
+		for i := 0; i < kept*beats; i++ {
+			blob = append(blob, byte(i))
+		}
+		return blob
+	}
+	for _, count := range []uint32{declared, 0} {
+		r, err := NewReader(bytes.NewReader(cut(count)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for ; ; n++ {
+			if _, err = r.Read(); err != nil {
+				break
+			}
+		}
+		if n != kept {
+			t.Errorf("count %d: Read delivered %d bursts, want %d", count, n, kept)
+		}
+		if hard := err != io.EOF; hard != (count != 0) {
+			t.Errorf("count %d: Read ended with %v", count, err)
+		}
+
+		r, err = NewReader(bytes.NewReader(cut(count)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fr, err := NewFrameReader(r, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n = 0
+		for {
+			f, err := fr.NextFrame()
+			if err != nil {
+				if hard := err != io.EOF; hard != (count != 0) {
+					t.Errorf("count %d: NextFrame ended with %v", count, err)
+				}
+				break
+			}
+			for _, b := range f {
+				n += len(b) / beats
+			}
+		}
+		want := kept
+		if count != 0 {
+			want = 4 // the one whole frame before the payload ran out
+		}
+		if n != want {
+			t.Errorf("count %d: NextFrame delivered %d bursts, want %d", count, n, want)
+		}
 	}
 }
 

@@ -48,10 +48,15 @@ func (g *FrameGen) NextFrame() (bus.Frame, error) {
 // FrameReader groups every lanes consecutive bursts of a trace into one
 // frame — burst i of the trace becomes lane i%lanes of frame i/lanes — so a
 // single-lane trace file replays onto a multi-lane bus without ever holding
-// more than one frame in memory. If the trace ends mid-frame the missing
-// lanes carry zero-beat bursts and the short frame is still delivered: no
-// payload is silently dropped, and a zero-beat burst drives no wires, so
-// the padding contributes exactly nothing to the activity counts.
+// more than one frame in memory. Each frame is decoded by one read of
+// lanes x beats payload bytes into a fresh slab, and its bursts are
+// capacity-capped subslices of that slab (the bus.NewFrame layout): two
+// allocations per frame, slab and header, whatever the lane count. A
+// returned frame is never reused, so callers may retain it. If the trace
+// ends mid-frame the missing lanes carry zero-beat bursts and the short
+// frame is still delivered: no payload is silently dropped, and a
+// zero-beat burst drives no wires, so the padding contributes exactly
+// nothing to the activity counts.
 type FrameReader struct {
 	r     *Reader
 	lanes int
@@ -72,26 +77,25 @@ func (fr *FrameReader) NextFrame() (bus.Frame, error) {
 	if fr.done {
 		return nil, io.EOF
 	}
-	f := make(bus.Frame, fr.lanes)
-	for i := range f {
-		b, err := fr.r.Read()
+	beats := fr.r.beats
+	slab := make([]byte, fr.lanes*beats)
+	n, err := fr.r.readBursts(slab)
+	if err != nil {
 		if err == io.EOF {
-			if i == 0 {
-				fr.done = true
-				return nil, io.EOF
-			}
-			// Fill the remaining lanes of a short final frame with
-			// zero-beat bursts: cost-free, unlike phantom payload.
-			for ; i < fr.lanes; i++ {
-				f[i] = bus.Burst{}
-			}
 			fr.done = true
-			return f, nil
 		}
-		if err != nil {
-			return nil, err
-		}
-		f[i] = b
+		return nil, err
 	}
+	f := make(bus.Frame, fr.lanes)
+	for l := range f {
+		if l < n {
+			f[l] = bus.Burst(slab[l*beats : (l+1)*beats : (l+1)*beats])
+		} else {
+			// Pad a short final frame with zero-beat bursts: cost-free,
+			// unlike phantom payload.
+			f[l] = bus.Burst{}
+		}
+	}
+	fr.done = n < fr.lanes
 	return f, nil
 }

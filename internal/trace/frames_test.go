@@ -7,6 +7,7 @@ import (
 
 	"dbiopt/internal/bus"
 	"dbiopt/internal/dbi"
+	"dbiopt/internal/racetag"
 )
 
 // TestFrameGenBudgetAndOrder: the generator yields exactly the requested
@@ -132,6 +133,32 @@ func TestFrameReaderExactMultiple(t *testing.T) {
 	}
 	if n != 2 {
 		t.Fatalf("read %d frames, want 2", n)
+	}
+}
+
+// TestFrameReaderAllocs pins the decode cost per frame: one payload slab
+// and one frame header, whatever the lane count — not one burst each.
+func TestFrameReaderAllocs(t *testing.T) {
+	if racetag.Enabled {
+		t.Skip("allocation counts are skewed by -race instrumentation")
+	}
+	const lanes, beats, runs = 32, bus.BurstLength, 200
+	src := NewUniform(8)
+	bursts := make([]bus.Burst, (runs+1)*lanes) // AllocsPerRun adds a warm-up call
+	for i := range bursts {
+		bursts[i] = src.Next(beats)
+	}
+	fr, err := NewFrameReader(roundTrip(t, bursts, beats), lanes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(runs, func() {
+		if _, err := fr.NextFrame(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 2 {
+		t.Errorf("NextFrame allocates %.1f times per %d-lane frame, want <= 2", allocs, lanes)
 	}
 }
 
