@@ -15,7 +15,9 @@ import (
 // renegotiate mid-stream via SWITCH notices, SessionSwitch).
 type (
 	// Adapter chooses the scheme an adaptive Stream applies, burst by
-	// burst; AdaptiveController is the windowed implementation.
+	// burst: Current returns the live scheme's compiled Kernel, which the
+	// stream encodes the next burst with. AdaptiveController is the
+	// windowed implementation.
 	Adapter = dbi.Adapter
 	// AdaptiveConfig configures an AdaptiveController: candidate scheme
 	// names, comparison weights, window length, hysteresis margin, and an

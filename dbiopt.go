@@ -72,37 +72,16 @@ type (
 	// beats per burst, lanes per frame); the zero value compiles the fully
 	// general kernel.
 	Geometry = dbi.Geometry
-	// MaskEncoder is the bit-parallel fast path of an Encoder: EncodeMask
-	// returns the inversion pattern packed into an InvMask.
-	//
-	// Deprecated: probe-style fast-path interfaces are superseded by the
-	// compiled Kernel surface — CompileScheme resolves the fastest paths
-	// once instead of per call site, and is total over the registry. The
-	// alias remains for compatibility; new code should not type-assert it.
-	MaskEncoder = dbi.MaskEncoder
 	// WideMask is a multi-word packed inversion pattern — one bit per beat,
 	// 64 beats per word — extending the InvMask representation to bursts of
 	// any length. Patterns up to MaxInlineWideBeats live in an inline array,
 	// so resetting and refilling a reused WideMask allocates nothing.
 	WideMask = bus.WideMask
-	// WideMaskEncoder is the multi-word fast path of an Encoder:
-	// EncodeMaskWords fills a caller-provided zeroed word slice (one bit per
-	// beat) for bursts past MaxMaskBeats.
-	//
-	// Deprecated: superseded by the compiled Kernel surface (see
-	// MaskEncoder's note); Kernel.EncodeMaskWords is the compiled form.
-	// The alias remains for compatibility.
-	WideMaskEncoder = dbi.WideMaskEncoder
 	// LaneBatch is the struct-of-arrays encode state of one frame: all
 	// lanes' prior states, payload bytes, word-packed masks, exact costs and
 	// post-burst states in contiguous arrays. Produced by
-	// LaneSet.TransmitBatch and EncodeLaneBatch.
+	// LaneSet.TransmitBatch and Kernel.EncodeBatch.
 	LaneBatch = dbi.LaneBatch
-	// BatchEncoder is the frame-level fast path of an Encoder: EncodeBatch
-	// fills every lane's mask words of a LaneBatch in one call. The
-	// table-driven built-ins implement it natively; other schemes run
-	// through the generic per-lane driver inside EncodeLaneBatch.
-	BatchEncoder = dbi.BatchEncoder
 	// Weights are the per-transition (Alpha) and per-zero (Beta) costs the
 	// optimal encoder minimises.
 	Weights = dbi.Weights
@@ -200,10 +179,11 @@ func NewEncoder(name string, w Weights) (Encoder, error) { return dbi.Lookup(nam
 // one bus geometry and returns its Kernel, cached per triple for stateless
 // schemes. Every decision the per-burst hot paths used to make — scheme
 // kind, integer-vs-float trellis, scaled coefficients, greedy thresholds,
-// narrow-vs-wide mask routing — happens here, once. Third-party schemes
-// added with RegisterScheme compile too (through the generic fallback that
-// binds whatever fast paths they implement), so the compiled surface is
-// total over the registry:
+// narrow-vs-wide mask routing — happens here, once. The kernel's
+// EncodeMask, EncodeMaskWords and EncodeBatch are the bit-parallel entry
+// points. Third-party schemes added with RegisterScheme compile too, to a
+// kernel whose every entry runs their EncodeInto, so the compiled surface
+// is total over the registry:
 //
 //	kern, err := dbiopt.CompileScheme("OPT-FIXED", dbiopt.Weights{}, dbiopt.Geometry{Lanes: 4})
 //	if err != nil { ... }
@@ -233,15 +213,6 @@ func CostOf(enc Encoder, prev LineState, b Burst) Cost { return dbi.CostOf(enc, 
 // Decode recovers the payload from a wire image, as a DBI receiver does.
 func Decode(w Wire) Burst { return w.Decode() }
 
-// EncodeMask runs enc's bit-parallel fast path: the inversion pattern of b
-// as a packed mask. ok is false when enc has no fast path or declines the
-// burst (longer than MaxMaskBeats, or weights outside the exact-integer
-// regime for schemes that require it); fall back to Encode then. When ok,
-// the mask is bit-identical to the pattern Encode produces.
-func EncodeMask(enc Encoder, prev LineState, b Burst) (InvMask, bool) {
-	return dbi.EncodeMaskOf(enc, prev, b)
-}
-
 // ApplyMask produces the wire image of transmitting b with the packed
 // inversion pattern m, the mask-native counterpart of Encode's output.
 func ApplyMask(b Burst, m InvMask) Wire { return bus.ApplyMask(b, m) }
@@ -250,14 +221,6 @@ func ApplyMask(b Burst, m InvMask) Wire { return bus.ApplyMask(b, m) }
 // pattern m from prev — bit-identical to ApplyMask(b, m).Cost(prev), with
 // the DBI wire accounted bit-parallel.
 func MaskCost(prev LineState, b Burst, m InvMask) Cost { return bus.MaskCost(prev, b, m) }
-
-// EncodeWideMask runs enc's multi-word fast path: the inversion pattern of
-// b packed into m (reset to len(b) beats first), at any burst length. ok is
-// false when enc has no wide path or declines the burst; fall back to
-// Encode then. When ok, the pattern is bit-identical to Encode's.
-func EncodeWideMask(enc Encoder, prev LineState, b Burst, m *WideMask) bool {
-	return dbi.EncodeWideMaskOf(enc, prev, b, m)
-}
 
 // ApplyWideMask produces the wire image of transmitting b with the packed
 // pattern m, the wide counterpart of ApplyMask. m must hold len(b) beats.
@@ -276,12 +239,6 @@ func WideMaskFinalState(prev LineState, b Burst, m *WideMask) LineState {
 // PlainCost returns the exact activity counts of transmitting b uncoded
 // (no inversions) from prev — the RAW baseline, bit-parallel at any length.
 func PlainCost(prev LineState, b Burst) Cost { return bus.PlainCost(prev, b) }
-
-// EncodeLaneBatch encodes every lane of a prepared LaneBatch with enc —
-// natively for schemes with a frame-level batch path, else lane by lane
-// over the batch arrays — and settles per-lane costs and post-burst states.
-// Results are bit-identical to encoding each lane with its own Stream.
-func EncodeLaneBatch(enc Encoder, lb *LaneBatch) { dbi.EncodeLaneBatch(enc, lb) }
 
 // NewStream returns a streaming encoder starting from the idle line state.
 // Steady-state Transmit performs zero heap allocations; the returned Wire

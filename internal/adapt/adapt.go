@@ -156,12 +156,10 @@ func (cfg Config) Validate() error {
 
 // candidate is one scheme's shadow lane: the scheme pre-compiled to its
 // kernel, the line state its chain has reached since the last switch
-// point, and its trailing-window cost. The kernel replaces the old
-// per-candidate interface probes and encode scratch wholesale: shadow
-// encodes run through Kernel.Advance (mask-native at any burst length,
-// pooled scratch only on the wide and []bool paths), and a switch binds
-// the new live kernel with no recompilation — every candidate was
-// compiled at construction.
+// point, and its trailing-window cost. Shadow encodes run through
+// Kernel.Advance (mask-native at any burst length, pooled scratch only on
+// the wide and []bool paths), and a switch binds the new live kernel with
+// no recompilation — every candidate was compiled at construction.
 type candidate struct {
 	name  string
 	kern  *dbi.Kernel
@@ -221,14 +219,10 @@ func Factory(cfg Config) (func(lane int) dbi.Adapter, error) {
 	}, nil
 }
 
-// Current implements dbi.Adapter: the live scheme.
-func (c *Controller) Current() dbi.Encoder { return c.cands[c.live].kern.Encoder() }
-
-// CurrentKernel implements dbi.KernelAdapter: the live scheme's compiled
-// kernel, bound at construction. Adaptive streams encode through it
-// directly, so a switch costs nothing but the pointer swap decide already
-// performed.
-func (c *Controller) CurrentKernel() *dbi.Kernel { return c.cands[c.live].kern }
+// Current implements dbi.Adapter: the live scheme's compiled kernel, bound
+// at construction. Adaptive streams encode through it directly, so a
+// switch costs nothing but the pointer swap decide already performed.
+func (c *Controller) Current() *dbi.Kernel { return c.cands[c.live].kern }
 
 // Scheme returns the registry name of the live scheme.
 func (c *Controller) Scheme() string { return c.cands[c.live].name }

@@ -8,10 +8,11 @@
 //     gate reads the compiler's own escape analysis instead, so it holds on
 //     every build configuration. Cold-path allocations are waived line by
 //     line with //dbi:allow-escape <reason>.
-//   - contract: every Encoder implementation in the scheme package also
-//     implements the bit-parallel MaskEncoder fast path, is constructible
-//     through the registry, and is pinned by the golden tests and the mask
-//     equivalence fuzz target (stateful exceptions are allowlisted).
+//   - contract: every Encoder implementation in the scheme package has a
+//     native kernel (a case in CompileEncoder's type switch), is
+//     constructible through the registry, and is pinned by the golden
+//     tests and the mask and kernel equivalence fuzz targets (stateful
+//     exceptions are allowlisted).
 //   - baseline: bench_baseline.json entries, declared Benchmark functions
 //     and the CI bench-gate selection agree in both directions, so a
 //     renamed benchmark or a stale baseline entry fails lint instead of

@@ -15,10 +15,13 @@ type ContractConfig struct {
 	// PackagePath is the import path of the scheme package, e.g.
 	// "dbiopt/internal/dbi".
 	PackagePath string
-	// Encoder and MaskEncoder are the names, within the package, of the
-	// scheme interface and its bit-parallel fast-path interface.
-	Encoder     string
-	MaskEncoder string
+	// Encoder is the name, within the package, of the scheme interface.
+	Encoder string
+	// CompileFunc is the package-level function that compiles an encoder
+	// to its kernel ("CompileEncoder"). The cases of the type switch in its
+	// body are the schemes with native kernels; an encoder outside them
+	// compiles to the slow []bool EncodeInto path.
+	CompileFunc string
 	// RegisterFunc is the package-level function whose call sites register
 	// schemes ("Register"); a scheme type is "registered" when some
 	// Register call's factory argument constructs it.
@@ -40,20 +43,21 @@ type ContractConfig struct {
 	KernelFuzzFile string
 	KernelFuzzFunc string
 	// Allow lists scheme type names exempt from the whole contract —
-	// stateful wrappers like Noisy that deliberately have no mask fast
-	// path and no registry entry.
+	// stateful wrappers like Noisy that deliberately have no native kernel
+	// and no registry entry.
 	Allow []string
 }
 
 // DefaultContract is the repo's scheme contract: every Encoder in
-// internal/dbi implements MaskEncoder, registers itself, is pinned by
-// golden_test.go and FuzzMaskEquivalence, and has its compiled Kernel pinned
-// against the EncodeInto oracle by FuzzKernelEquivalence; *Noisy (stateful
-// analog-noise wrapper) is the one allowed exception.
+// internal/dbi has a native kernel (a case in CompileEncoder's type
+// switch), registers itself, is pinned by golden_test.go and
+// FuzzMaskEquivalence, and has its compiled Kernel pinned against the
+// EncodeInto oracle by FuzzKernelEquivalence; *Noisy (stateful analog-noise
+// wrapper) is the one allowed exception.
 var DefaultContract = ContractConfig{
 	PackagePath:    "dbiopt/internal/dbi",
 	Encoder:        "Encoder",
-	MaskEncoder:    "MaskEncoder",
+	CompileFunc:    "CompileEncoder",
 	RegisterFunc:   "Register",
 	GoldenFile:     "golden_test.go",
 	FuzzFile:       "fuzz_test.go",
@@ -89,7 +93,7 @@ func Contract(t *Tree, cfg ContractConfig) ([]Diagnostic, error) {
 	if err != nil {
 		return nil, err
 	}
-	maskEncoder, err := lookupInterface(scope, cfg.MaskEncoder, cfg.PackagePath)
+	native, err := switchCaseTypes(d, l, cfg.CompileFunc, cfg.PackagePath)
 	if err != nil {
 		return nil, err
 	}
@@ -150,10 +154,10 @@ func Contract(t *Tree, cfg ContractConfig) ([]Diagnostic, error) {
 		}
 		pos := t.Fset.Position(s.Pos())
 		file, line := relOrSame(t, pos.Filename), pos.Line
-		if !implements(s.Type(), maskEncoder) {
+		if !native[s] {
 			diags = append(diags, Diagnostic{
 				File: file, Line: line, Analyzer: "contract",
-				Message: fmt.Sprintf("%s implements %s but not %s: every scheme needs the bit-parallel fast path (or an entry in the contract allowlist for stateful exceptions)", s.Name(), cfg.Encoder, cfg.MaskEncoder),
+				Message: fmt.Sprintf("%s implements %s but has no case in %s's type switch: every scheme needs a native kernel, or it silently compiles to the []bool EncodeInto path (or an entry in the contract allowlist for stateful exceptions)", s.Name(), cfg.Encoder, cfg.CompileFunc),
 			})
 		}
 		if !registered[s] {
@@ -196,6 +200,40 @@ func lookupInterface(scope *types.Scope, name, pkgPath string) (*types.Interface
 		return nil, fmt.Errorf("analysis: %s.%s is not an interface", pkgPath, name)
 	}
 	return iface, nil
+}
+
+// switchCaseTypes finds the named function among the package's non-test
+// files and returns the named types listed as cases of the type switches
+// in its body: the schemes the compiler gives a native kernel.
+func switchCaseTypes(d *Dir, l *loader, funcName, pkgPath string) (map[*types.TypeName]bool, error) {
+	for _, f := range d.Files {
+		if f.Test || !buildable(f) {
+			continue
+		}
+		for _, decl := range f.Ast.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Recv != nil || fd.Name.Name != funcName || fd.Body == nil {
+				continue
+			}
+			cases := make(map[*types.TypeName]bool)
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				ts, ok := n.(*ast.TypeSwitchStmt)
+				if !ok {
+					return true
+				}
+				for _, stmt := range ts.Body.List {
+					for _, expr := range stmt.(*ast.CaseClause).List {
+						if tn := namedTypeName(l.info.TypeOf(expr)); tn != nil {
+							cases[tn] = true
+						}
+					}
+				}
+				return true
+			})
+			return cases, nil
+		}
+	}
+	return nil, fmt.Errorf("analysis: function %s not found in %s", funcName, pkgPath)
 }
 
 // implements reports whether T or *T satisfies the interface.

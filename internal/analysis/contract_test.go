@@ -6,7 +6,7 @@ import "testing"
 var contractFixture = ContractConfig{
 	PackagePath:  "contractmod",
 	Encoder:      "Encoder",
-	MaskEncoder:  "MaskEncoder",
+	CompileFunc:  "CompileEncoder",
 	RegisterFunc: "Register",
 	GoldenFile:   "golden_test.go",
 	FuzzFile:     "fuzz_test.go",
@@ -25,11 +25,11 @@ func TestContractFixture(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkDiags(t, diags, []wantDiag{
-		{"enc.go", 60, "contract", "Bad implements Encoder but not MaskEncoder"},
-		{"enc.go", 60, "contract", "Bad is not constructed by any Register factory"},
-		{"enc.go", 60, "contract", "Bad is not covered by FuzzMaskEquivalence"},
-		{"enc.go", 60, "contract", "Bad is not referenced by golden_test.go"},
-		{"enc.go", 70, "contract", "NoGolden is not referenced by golden_test.go"},
+		{"enc.go", 66, "contract", "Bad implements Encoder but has no case in CompileEncoder's type switch"},
+		{"enc.go", 66, "contract", "Bad is not constructed by any Register factory"},
+		{"enc.go", 66, "contract", "Bad is not covered by FuzzMaskEquivalence"},
+		{"enc.go", 66, "contract", "Bad is not referenced by golden_test.go"},
+		{"enc.go", 76, "contract", "NoGolden is not referenced by golden_test.go"},
 	})
 }
 
@@ -39,7 +39,7 @@ func TestContractFixture(t *testing.T) {
 var kernelFixture = ContractConfig{
 	PackagePath:    "kernelmod",
 	Encoder:        "Encoder",
-	MaskEncoder:    "MaskEncoder",
+	CompileFunc:    "CompileEncoder",
 	RegisterFunc:   "Register",
 	GoldenFile:     "golden_test.go",
 	FuzzFile:       "fuzz_test.go",
@@ -50,7 +50,8 @@ var kernelFixture = ContractConfig{
 }
 
 // TestKernelContractFixture seeds a scheme (NoKernel) that satisfies every
-// legacy clause but is absent from the kernel-equivalence fuzz target —
+// other clause — its native-kernel case is a pointer case, as *Noisy's
+// would be — but is absent from the kernel-equivalence fuzz target —
 // whose body names schemes directly rather than sweeping the registry — and
 // asserts exactly that violation surfaces, at the type's declaration.
 func TestKernelContractFixture(t *testing.T) {
@@ -60,6 +61,6 @@ func TestKernelContractFixture(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkDiags(t, diags, []wantDiag{
-		{"enc.go", 53, "contract", "NoKernel is not covered by FuzzKernelEquivalence in kernel_test.go"},
+		{"enc.go", 60, "contract", "NoKernel is not covered by FuzzKernelEquivalence in kernel_test.go"},
 	})
 }

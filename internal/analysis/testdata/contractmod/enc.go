@@ -4,18 +4,27 @@
 // golden coverage and registered through a constructor (NoGolden).
 package contractmod
 
-// Mask is the fixture's packed pattern type.
-type Mask uint64
-
 // Encoder is the fixture's scheme interface.
 type Encoder interface {
 	Name() string
 	Encode(b []byte) []bool
 }
 
-// MaskEncoder is the fixture's fast-path interface.
-type MaskEncoder interface {
-	EncodeMask(b []byte) (Mask, bool)
+// Kernel is the fixture's compiled scheme.
+type Kernel struct {
+	enc    Encoder
+	native bool
+}
+
+// CompileEncoder compiles a scheme: the cases of its type switch are the
+// schemes with native kernels, everything else runs Encode.
+func CompileEncoder(enc Encoder) *Kernel {
+	k := &Kernel{enc: enc}
+	switch enc.(type) {
+	case Good, NoGolden:
+		k.native = true
+	}
+	return k
 }
 
 var registry = map[string]func() Encoder{}
@@ -43,9 +52,6 @@ func (Good) Name() string { return "good" }
 // Encode implements Encoder.
 func (Good) Encode(b []byte) []bool { return make([]bool, len(b)) }
 
-// EncodeMask implements MaskEncoder.
-func (Good) EncodeMask(b []byte) (Mask, bool) { return 0, true }
-
 // Allowed implements Encoder only, but sits on the allowlist.
 type Allowed struct{}
 
@@ -55,7 +61,7 @@ func (Allowed) Name() string { return "allowed" }
 // Encode implements Encoder.
 func (Allowed) Encode(b []byte) []bool { return make([]bool, len(b)) }
 
-// Bad violates every clause: no mask fast path, never registered, absent
+// Bad violates every clause: no native kernel, never registered, absent
 // from the golden and fuzz files.
 type Bad struct{}
 
@@ -77,9 +83,6 @@ func (NoGolden) Name() string { return "nogolden" }
 
 // Encode implements Encoder.
 func (NoGolden) Encode(b []byte) []bool { return make([]bool, len(b)) }
-
-// EncodeMask implements MaskEncoder.
-func (NoGolden) EncodeMask(b []byte) (Mask, bool) { return 0, true }
 
 func init() {
 	Register("good", func() Encoder { return Good{} })

@@ -1,12 +1,9 @@
 // Package kernelmod is the kernel-coverage fixture for the scheme-contract
-// analyzer: both schemes satisfy every legacy clause (mask fast path,
+// analyzer: both schemes satisfy every other clause (native kernel,
 // registration, golden pin, mask-equivalence fuzz via the registry sweep),
 // but the kernel-equivalence fuzz target names its schemes directly instead
 // of sweeping the registry, and NoKernel is deliberately absent from it.
 package kernelmod
-
-// Mask is the fixture's packed pattern type.
-type Mask uint64
 
 // Encoder is the fixture's scheme interface.
 type Encoder interface {
@@ -14,9 +11,21 @@ type Encoder interface {
 	Encode(b []byte) []bool
 }
 
-// MaskEncoder is the fixture's fast-path interface.
-type MaskEncoder interface {
-	EncodeMask(b []byte) (Mask, bool)
+// Kernel is the fixture's compiled scheme.
+type Kernel struct {
+	enc    Encoder
+	native bool
+}
+
+// CompileEncoder compiles a scheme: the cases of its type switch are the
+// schemes with native kernels.
+func CompileEncoder(enc Encoder) *Kernel {
+	k := &Kernel{enc: enc}
+	switch enc.(type) {
+	case Good, *NoKernel:
+		k.native = true
+	}
+	return k
 }
 
 var registry = map[string]func() Encoder{}
@@ -45,23 +54,18 @@ func (Good) Name() string { return "good" }
 // Encode implements Encoder.
 func (Good) Encode(b []byte) []bool { return make([]bool, len(b)) }
 
-// EncodeMask implements MaskEncoder.
-func (Good) EncodeMask(b []byte) (Mask, bool) { return 0, true }
-
-// NoKernel satisfies every legacy clause but is absent from the
-// kernel-equivalence fuzz target — the one seeded violation.
+// NoKernel satisfies every other clause — through a pointer case in
+// CompileEncoder's switch — but is absent from the kernel-equivalence fuzz
+// target: the one seeded violation.
 type NoKernel struct{}
 
 // Name implements Encoder.
-func (NoKernel) Name() string { return "nokernel" }
+func (*NoKernel) Name() string { return "nokernel" }
 
 // Encode implements Encoder.
-func (NoKernel) Encode(b []byte) []bool { return make([]bool, len(b)) }
-
-// EncodeMask implements MaskEncoder.
-func (NoKernel) EncodeMask(b []byte) (Mask, bool) { return 0, true }
+func (*NoKernel) Encode(b []byte) []bool { return make([]bool, len(b)) }
 
 func init() {
 	Register("good", func() Encoder { return Good{} })
-	Register("nokernel", func() Encoder { return NoKernel{} })
+	Register("nokernel", func() Encoder { return &NoKernel{} })
 }

@@ -7,10 +7,7 @@ import "testing"
 func FuzzMaskEquivalence(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, name := range Names() {
-			enc := registry[name]()
-			if me, ok := enc.(MaskEncoder); ok {
-				me.EncodeMask(data)
-			}
+			CompileEncoder(registry[name]()).enc.Encode(data)
 		}
 	})
 }

@@ -7,7 +7,7 @@ func TestGolden(t *testing.T) {
 	if got := (Good{}).Name(); got != "good" {
 		t.Fatalf("Name() = %q", got)
 	}
-	if got := (NoKernel{}).Name(); got != "nokernel" {
+	if got := (&NoKernel{}).Name(); got != "nokernel" {
 		t.Fatalf("Name() = %q", got)
 	}
 }

@@ -2,12 +2,12 @@
 // a whole frame's lanes in contiguous arrays (prev states, payload bytes,
 // word-packed output masks, costs, next states), so frame-level callers —
 // LaneSet.TransmitBatch, the pipeline shard workers, the serving tier — pay
-// one call per frame instead of one interface dispatch per lane. Table-
-// driven schemes implement BatchEncoder natively with fused or interleaved
-// bit-parallel kernels, and the unit-coefficient trellis at BL8 runs the
-// fused core of kernel.go per lane; other trellis points run through a
-// generic per-lane driver over the same arrays, still mask-native via the
-// wide path.
+// one call per frame instead of one dispatch per lane. The table-driven
+// schemes' kernels encode a batch natively with fused or interleaved
+// bit-parallel loops (below), and the unit-coefficient trellis at BL8 runs
+// the fused core of kernel.go per lane; other trellis points run lane by
+// lane over the same arrays (Kernel.encodeBatchLanes), still mask-native
+// via the wide path.
 package dbi
 
 import (
@@ -38,7 +38,7 @@ type LaneBatch struct {
 	data              []byte
 	masks             []uint64
 	inv               []bool // generic-path scratch for []bool-only encoders
-	settled           bool   // encoder filled costs and next states itself
+	settled           bool   // the batch kernel filled costs and next states itself
 }
 
 // Reset prepares the batch for a frame of the given geometry: sizes every
@@ -126,63 +126,6 @@ func (lb *LaneBatch) TotalCost() bus.Cost {
 		c = c.Add(lc)
 	}
 	return c
-}
-
-// BatchEncoder is the frame-level fast path of an Encoder: EncodeBatch
-// fills every lane's mask words of a prepared LaneBatch (geometry, prev
-// states and payload set; masks zeroed by Reset) in one call. ok reports
-// whether the batch path applies — when false the caller falls back to the
-// generic per-lane driver — and when true every lane's pattern is
-// bit-identical to what EncodeInto produces for that lane alone. Costs and
-// next states are normally not the encoder's concern — EncodeLaneBatch
-// settles them from the masks afterwards — but a kernel whose sweep already
-// holds the counts may fill them itself and mark the batch settled (DC
-// does), skipping the separate settle pass.
-//
-// The table-driven schemes (RAW, DC, AC, ACDC, GREEDY) implement it
-// natively — DC as one fused decide-and-cost sweep, AC/ACDC through the
-// SWAR prefix-XOR kernel, GREEDY with an 8-lane interleaved inner loop —
-// with no per-lane interface dispatch.
-type BatchEncoder interface {
-	EncodeBatch(lb *LaneBatch) bool
-}
-
-// batchEncoderOf returns enc's frame-level fast path or nil.
-func batchEncoderOf(enc Encoder) BatchEncoder {
-	be, _ := enc.(BatchEncoder)
-	return be
-}
-
-// EncodeLaneBatch encodes every lane of a prepared batch with enc and
-// settles the per-lane costs and next states from the resulting masks. It
-// is Kernel.EncodeBatch behind a compile-on-demand cache: enc compiles
-// once (per comparable stateless encoder value) and every decision — the
-// frame-level fast path, the per-lane mask routing — is the kernel's. The
-// results are bit-identical to encoding each lane with its own Stream —
-// the contract TestLaneBatchMatchesSerial pins. Callers holding a *Kernel
-// should call its EncodeBatch directly.
-//
-//dbi:hotpath
-func EncodeLaneBatch(enc Encoder, lb *LaneBatch) {
-	kernelOf(enc).EncodeBatch(lb)
-}
-
-// EncodeBatch implements BatchEncoder: RAW inverts nothing, and the mask
-// words are already zero.
-//
-//dbi:hotpath
-func (Raw) EncodeBatch(lb *LaneBatch) bool { return true }
-
-// EncodeBatch implements BatchEncoder for DC: the rule is pure per-byte, so
-// the batch is one linear sweep over the contiguous data array, 8 beats per
-// 64-bit load within each lane — fused with the cost settle, so the batch
-// never runs the separate MaskWordsCost pass.
-//
-//dbi:hotpath
-func (DC) EncodeBatch(lb *LaneBatch) bool {
-	dcBatchFused(lb)
-	lb.settled = true
-	return true
 }
 
 // dcBatchFused encodes every lane under the DC rule and settles the exact
@@ -312,38 +255,6 @@ func acBatch(lb *LaneBatch, firstDC bool) {
 		pp, pinv := acSeedByte(lb.prev[l])
 		acMaskWords(pp, pinv, b, 0, words)
 	}
-}
-
-// EncodeBatch implements BatchEncoder for the JEDEC AC scheme.
-//
-//dbi:hotpath
-func (AC) EncodeBatch(lb *LaneBatch) bool {
-	acBatch(lb, false)
-	return true
-}
-
-// EncodeBatch implements BatchEncoder for ACDC.
-//
-//dbi:hotpath
-func (ACDC) EncodeBatch(lb *LaneBatch) bool {
-	acBatch(lb, true)
-	return true
-}
-
-// EncodeBatch implements BatchEncoder for the weighted greedy heuristic:
-// the weights integerize once per frame (not once per lane), then lanes run
-// eight-wide through the interleaved integer kernel. Weights with no exact
-// integer scale decline the whole batch.
-//
-//dbi:hotpath
-func (g Greedy) EncodeBatch(lb *LaneBatch) bool {
-	ia, ib, ok := g.Weights.integerize()
-	if !ok {
-		return false
-	}
-	thr := greedyThresholds(ia, ib)
-	greedyBatch(lb, ia, ib, &thr)
-	return true
 }
 
 // greedyThresholds precomputes the greedy invert decision as a threshold

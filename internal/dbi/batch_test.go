@@ -91,11 +91,11 @@ type switchingAdapter struct {
 	seen   int
 }
 
-func (s *switchingAdapter) Current() Encoder {
+func (s *switchingAdapter) Current() *Kernel {
 	if s.seen/s.period%2 == 1 {
-		return s.b
+		return kernelOf(s.b)
 	}
-	return s.a
+	return kernelOf(s.a)
 }
 
 func (s *switchingAdapter) Observe(bus.Burst, bus.Cost, bus.LineState) { s.seen++ }
@@ -131,9 +131,9 @@ func TestLaneBatchRagged(t *testing.T) {
 	checkBatchAgainstSerial(t, "ragged", NewLaneSet(enc, 3), NewLaneSet(enc, 3), frames)
 }
 
-// TestEncodeLaneBatchDirect exercises the exported driver on a hand-built
-// batch, per-lane prev states included, against per-lane CostOf.
-func TestEncodeLaneBatchDirect(t *testing.T) {
+// TestKernelEncodeBatchDirect exercises the compiled batch entry on a
+// hand-built batch, per-lane prev states included, against per-lane CostOf.
+func TestKernelEncodeBatchDirect(t *testing.T) {
 	rng := rand.New(rand.NewSource(303))
 	for _, enc := range []Encoder{Raw{}, DC{}, AC{}, ACDC{}, Greedy{Weights: FixedWeights}, OptFixed(), Quantized{Alpha: 3, Beta: 5}} {
 		var lb LaneBatch
@@ -145,7 +145,7 @@ func TestEncodeLaneBatchDirect(t *testing.T) {
 			lb.SetLane(l, b)
 			bursts[l] = b
 		}
-		EncodeLaneBatch(enc, &lb)
+		CompileEncoder(enc, Geometry{}).EncodeBatch(&lb)
 		for l := 0; l < 5; l++ {
 			inv := enc.Encode(lb.Prev(l), bursts[l])
 			wire := bus.Apply(bursts[l], inv)

@@ -98,12 +98,12 @@ func FuzzPipelineEquivalence(f *testing.F) {
 
 // FuzzMaskEquivalence: for every registered scheme, arbitrary bursts and
 // prior states must produce identical inversion flags, wires and costs
-// through the []bool path and the bit-parallel mask path — and, for
-// weights with an exact integer scale, the integer trellis must agree bit
-// for bit with the float reference dynamic program. This is the pinning
-// contract of the bit-parallel encode core: a mask-path divergence
-// anywhere (scheme decision, wire image, cost accounting, final state)
-// fails here.
+// through the []bool reference (maskOracle) and the compiled kernel's
+// single-word mask path — and, for weights with an exact integer scale,
+// the integer trellis must agree bit for bit with the float reference
+// dynamic program. This is the pinning contract of the bit-parallel encode
+// core: a mask-path divergence anywhere (scheme decision, wire image, cost
+// accounting, final state) fails here.
 func FuzzMaskEquivalence(f *testing.F) {
 	f.Add([]byte{0x8E, 0x86, 0x96, 0xE9, 0x7D, 0xB7, 0x57, 0xC4}, byte(0xFF), true, uint8(1), uint8(1))
 	f.Add([]byte{}, byte(0), false, uint8(3), uint8(5))
@@ -134,15 +134,11 @@ func FuzzMaskEquivalence(f *testing.F) {
 				if _, isEx := enc.(Exhaustive); isEx && len(b) > 12 {
 					continue // brute force: keep the fuzz round fast
 				}
-				me, ok := enc.(MaskEncoder)
-				if !ok {
-					continue
-				}
-				m, ok := me.EncodeMask(prev, b)
+				m, ok := CompileEncoder(enc, Geometry{}).EncodeMask(prev, b)
 				if !ok {
 					continue // declined: []bool fallback is authoritative
 				}
-				inv := enc.Encode(prev, b)
+				inv := maskOracle(enc, prev, b)
 				want, packOK := bus.MaskFromBools(inv)
 				if !packOK {
 					t.Fatalf("%s: reference pattern unpackable (%d beats)", name, len(inv))
@@ -175,10 +171,27 @@ func FuzzMaskEquivalence(f *testing.F) {
 	})
 }
 
+// maskOracle is the []bool reference FuzzMaskEquivalence pins a scheme's
+// kernel against. Within the mask bound the EncodeInto of OPT, QUANTISED
+// and EXHAUSTIVE runs the very mask path their kernels bind, so those three
+// are checked against their independent reference searches instead: the
+// float and integer backpointer-table trellises and the full-recost scan.
+func maskOracle(enc Encoder, prev bus.LineState, b bus.Burst) []bool {
+	switch e := enc.(type) {
+	case Opt:
+		return e.encodeIntoTrellis(nil, prev, b)
+	case Quantized:
+		return e.encodeIntoTrellis(nil, prev, b)
+	case Exhaustive:
+		return e.encodeIntoScan(nil, prev, b)
+	}
+	return enc.Encode(prev, b)
+}
+
 // FuzzWideMaskEquivalence is FuzzMaskEquivalence past the single-word
 // bound: for every registered scheme, bursts of 65–512 beats must produce
 // identical inversion patterns, costs and final states through the []bool
-// EncodeInto oracle and the multi-word EncodeMaskWords fast path. The
+// EncodeInto oracle and the compiled kernel's multi-word EncodeMaskWords. The
 // fuzzed payload tiles up to the fuzzed length, so the corpus explores
 // periodic data (the trellis' worst case for tie-breaking) as well as
 // arbitrary bytes. A scheme that declines the burst is skipped — the
@@ -215,12 +228,8 @@ func FuzzWideMaskEquivalence(f *testing.F) {
 				if !Stateless(enc) {
 					continue
 				}
-				we, ok := enc.(WideMaskEncoder)
-				if !ok {
-					t.Fatalf("%s does not implement WideMaskEncoder", name)
-				}
 				m.Reset(n)
-				if !we.EncodeMaskWords(prev, b, m.Words()) {
+				if !CompileEncoder(enc, Geometry{}).EncodeMaskWords(prev, b, m.Words()) {
 					continue // declined: []bool fallback is authoritative
 				}
 				inv := enc.Encode(prev, b)

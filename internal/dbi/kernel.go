@@ -2,16 +2,15 @@
 // (scheme, Weights, bus geometry) triple that the per-burst hot paths used
 // to re-decide on every call — scheme kind, weight representability
 // (Weights.integerize), integer-vs-float trellis selection, greedy decision
-// thresholds, narrow-vs-wide mask routing, and which of the old
-// MaskEncoder/WideMaskEncoder/BatchEncoder fast paths apply — into one
-// immutable Kernel of directly callable function values. Consumers (Stream,
-// the adaptive shadow chains, LaneBatch, the pipeline shard workers, the
-// serving tier) bind a *Kernel once and never probe an interface again.
+// thresholds, narrow-vs-wide mask routing and the frame-level batch kernel
+// — into one immutable Kernel of directly callable function values.
+// Consumers (Stream, the adaptive shadow chains, LaneBatch, the pipeline
+// shard workers, the serving tier) bind a *Kernel once and never re-decide.
 //
-// A Kernel is total over the registry: schemes without native kernels
-// (*Noisy, third-party registrations) compile through a generic fallback
-// that binds their interface fast paths once, so every consumer speaks one
-// surface and the interface quartet becomes an implementation detail.
+// A Kernel is total over the registry: the built-in schemes get native
+// kernels that call the scheme code statically, and every other encoder
+// (*Noisy, third-party registrations) compiles to the EncodeInto fallback,
+// so every consumer speaks one surface.
 package dbi
 
 import (
@@ -19,6 +18,7 @@ import (
 	"math/bits"
 	"reflect"
 	"sync"
+	"sync/atomic"
 
 	"dbiopt/internal/bus"
 )
@@ -49,10 +49,6 @@ type Kernel struct {
 	weights   Weights
 	geom      Geometry
 	stateless bool
-	// comparable records whether enc's dynamic type supports ==; adaptive
-	// streams use it to detect scheme switches without risking a panic on
-	// uncomparable third-party encoders.
-	comparable bool
 
 	// Frozen integer-cost constants: the scaled trellis coefficients (when
 	// the weights have an exact integer scale) and the greedy per-popcount
@@ -62,21 +58,20 @@ type Kernel struct {
 	thr    [9]int64
 
 	// The compiled entry points. A nil field means the scheme has no such
-	// path and the caller must fall to the next one; fn-value calls carry
-	// no interface dispatch and no per-burst re-decision.
+	// path and the caller falls to the next one, down to the encoder's
+	// EncodeInto; fn-value calls carry no interface dispatch and no
+	// per-burst re-decision.
 	mask  func(k *Kernel, prev bus.LineState, b bus.Burst) (bus.InvMask, bool)
 	words func(k *Kernel, prev bus.LineState, b bus.Burst, words []uint64) bool
+	// batch fills every lane's mask words of a prepared batch, or reports
+	// false to leave the frame to encodeBatchLanes. A kernel whose
+	// sweep already holds the counts may fill costs and next states itself
+	// and mark the batch settled (DC and the BL8 unit trellis do).
 	batch func(k *Kernel, lb *LaneBatch) bool
 	// wire is the fully fused fast path: trellis, wire fill, cost and final
 	// state in one straight-line pass. Set only for unit-coefficient
 	// integer trellis schemes at the native burst length.
 	wire func(k *Kernel, w *bus.Wire, prev bus.LineState, b bus.Burst) (bus.Cost, bus.LineState)
-
-	// Generic-fallback bindings: the old interface fast paths, probed once
-	// at compile time for schemes without native kernels.
-	menc MaskEncoder
-	wenc WideMaskEncoder
-	benc BatchEncoder
 }
 
 // Name returns the registry name the kernel was compiled from (or the
@@ -120,16 +115,29 @@ type kernelKey struct {
 	geom Geometry
 }
 
+// maxCachedKernels caps kernelCache. Its keys can come from the outside
+// world — a serving client chooses the weights its session compiles with —
+// so an unbounded cache would grow by one kernel per distinct weight vector
+// ever seen and never shrink. Real workloads use a handful of triples; past
+// the cap a lookup compiles a fresh, uncached kernel, which costs a few
+// small allocations and is otherwise identical.
+const maxCachedKernels = 4096
+
 // kernelCache memoises LookupKernel: kernels are immutable and shareable,
 // so every consumer of the same (scheme, weights, geometry) triple — all
 // lanes of a lane set, all sessions of a server, every adaptive
 // controller's shadow chain — binds the same compiled instance.
-var kernelCache sync.Map // kernelKey -> *Kernel
+// kernelCached counts its entries.
+var (
+	kernelCache  sync.Map // kernelKey -> *Kernel
+	kernelCached atomic.Int64
+)
 
 // LookupKernel is the registry-integrated form of Compile: it returns the
 // cached kernel for the triple, compiling on first use. Stateful schemes
 // (whose encoder instances carry per-construction state, like *Noisy's RNG)
-// are compiled fresh on every call and never cached.
+// are compiled fresh on every call and never cached, and so is every
+// triple once the cache holds maxCachedKernels.
 func LookupKernel(name string, w Weights, geom Geometry) (*Kernel, error) {
 	key := kernelKey{name: name, w: w, geom: geom}
 	if v, ok := kernelCache.Load(key); ok {
@@ -142,14 +150,23 @@ func LookupKernel(name string, w Weights, geom Geometry) (*Kernel, error) {
 	if !k.stateless {
 		return k, nil
 	}
-	v, _ := kernelCache.LoadOrStore(key, k)
+	// Reserve a slot before storing, so concurrent lookups can never push
+	// the cache past its cap.
+	if kernelCached.Add(1) > maxCachedKernels {
+		kernelCached.Add(-1)
+		return k, nil
+	}
+	v, loaded := kernelCache.LoadOrStore(key, k)
+	if loaded {
+		kernelCached.Add(-1)
+	}
 	return v.(*Kernel), nil
 }
 
 // encKernelCache memoises kernelOf by encoder value, so entry points that
-// take a bare Encoder (NewStream, EncodeLaneBatch, TotalCost, adapter
-// switches) compile each distinct encoder value once. Only comparable
-// values can key a map; only stateless kernels are safe to share.
+// take a bare Encoder (NewStream, TotalCost, ParallelCosts) compile each
+// distinct encoder value once. Only comparable values can key a map; only
+// stateless kernels are safe to share.
 var encKernelCache sync.Map // Encoder -> *Kernel
 
 // kernelOf returns the compiled kernel for an encoder value, cached when
@@ -175,17 +192,15 @@ func kernelOf(enc Encoder) *Kernel {
 // CompileEncoder compiles an already-constructed encoder for the geometry.
 // Built-in schemes get native kernels — static concrete calls, frozen
 // coefficients, no interface dispatch; everything else (including *Noisy
-// and third-party registrations) gets the generic fallback, which binds the
-// encoder's interface fast paths once so Kernel is total over the registry.
+// and third-party registrations) compiles with no mask or batch path, so
+// every entry point runs the encoder's EncodeInto and Kernel stays total
+// over the registry.
 func CompileEncoder(enc Encoder, geom Geometry) *Kernel {
 	k := &Kernel{
 		name:      enc.Name(),
 		enc:       enc,
 		geom:      geom,
 		stateless: Stateless(enc),
-	}
-	if t := reflect.TypeOf(enc); t != nil {
-		k.comparable = t.Comparable()
 	}
 	switch e := enc.(type) {
 	case Raw:
@@ -208,8 +223,7 @@ func CompileEncoder(enc Encoder, geom Geometry) *Kernel {
 			k.mask, k.words, k.batch = maskGreedyK, wordsGreedyK, batchGreedyK
 		}
 		// Weights with no exact integer scale have no greedy fast path at
-		// all (the float comparison is the EncodeInto fallback), exactly as
-		// the interface probes behaved.
+		// all: the float comparison is the EncodeInto fallback.
 	case Opt:
 		k.weights = e.Weights
 		if ia, ib, ok := e.Weights.integerize(); ok {
@@ -234,19 +248,6 @@ func CompileEncoder(enc Encoder, geom Geometry) *Kernel {
 			k.ia, k.ib, k.intOK = ia, ib, true
 			k.mask, k.words = maskExhaustiveK, wordsExhaustiveK
 		}
-	default:
-		k.menc = maskEncoderOf(enc)
-		k.wenc = wideMaskEncoderOf(enc)
-		k.benc = batchEncoderOf(enc)
-		if k.menc != nil {
-			k.mask = maskIfaceK
-		}
-		if k.wenc != nil {
-			k.words = wordsIfaceK
-		}
-		if k.benc != nil {
-			k.batch = batchIfaceK
-		}
 	}
 	return k
 }
@@ -262,8 +263,8 @@ func (k *Kernel) bindOptUnit8() {
 
 // EncodeMask runs the compiled single-word mask path. ok is false when the
 // scheme has none or it declines the burst; the caller falls back to
-// EncodeMaskWords and then the []bool oracle, exactly as the old interface
-// probes did — but the routing was decided at compile time.
+// EncodeMaskWords and then the []bool oracle, a routing decided at compile
+// time.
 //
 //dbi:hotpath
 func (k *Kernel) EncodeMask(prev bus.LineState, b bus.Burst) (bus.InvMask, bool) {
@@ -521,11 +522,11 @@ func batchACDCK(_ *Kernel, lb *LaneBatch) bool {
 
 // ---- Native kernels: greedy with frozen thresholds --------------------
 
-// maskGreedyK is Greedy.EncodeMask with the weights integerized at compile
-// time and the per-beat weighted products replaced by the precomputed
-// threshold table: invert iff u >= thr[ones(v)], where u is the wire-domain
-// distance-plus-settle term (see greedyThresholds). Bit-identical to the
-// product form by the threshold derivation.
+// maskGreedyK is the single-word form of greedyMaskWords with the weights
+// integerized at compile time and the per-beat weighted products replaced
+// by the precomputed threshold table: invert iff u >= thr[ones(v)], where
+// u is the wire-domain distance-plus-settle term (see greedyThresholds).
+// Bit-identical to the product form by the threshold derivation.
 //
 //dbi:hotpath
 func maskGreedyK(k *Kernel, prev bus.LineState, b bus.Burst) (bus.InvMask, bool) {
@@ -586,11 +587,11 @@ func maskOptFloatK(k *Kernel, prev bus.LineState, b bus.Burst) (bus.InvMask, boo
 	return trellisMaskFloat(prev, b, k.weights), true
 }
 
-// wordsOptIntK mirrors Opt.EncodeMaskWords for integerizable weights: the
-// integer wide trellis while the accumulated costs stay exactly
-// representable, the float trellis beyond (the per-burst wideIntExact check
-// is the only decision left at encode time — it depends on the burst
-// length).
+// wordsOptIntK is the wide OPT path for integerizable weights: the integer
+// wide trellis while the accumulated costs stay exactly representable, the
+// float trellis (itself op-identical to encodeIntoTrellis) beyond. The
+// per-burst wideIntExact check is the only decision left at encode time —
+// it depends on the burst length.
 //
 //dbi:hotpath
 func wordsOptIntK(k *Kernel, prev bus.LineState, b bus.Burst, words []uint64) bool {
@@ -615,9 +616,9 @@ func wordsOptFloatK(k *Kernel, prev bus.LineState, b bus.Burst, words []uint64) 
 	return true
 }
 
-// wordsQuantIntK mirrors Quantized.EncodeMaskWords: 3-bit coefficients
-// keep any practical burst exactly representable, so the integer trellis
-// always applies.
+// wordsQuantIntK is the wide QUANTISED path: 3-bit coefficients keep any
+// practical burst exactly representable, and the []bool oracle already
+// runs exact integer arithmetic, so the integer trellis always applies.
 //
 //dbi:hotpath
 func wordsQuantIntK(k *Kernel, prev bus.LineState, b bus.Burst, words []uint64) bool {
@@ -642,6 +643,9 @@ func maskExhaustiveK(k *Kernel, prev bus.LineState, b bus.Burst) (bus.InvMask, b
 	return exhaustiveMask(prev, b, k.ia, k.ib), true
 }
 
+// wordsExhaustiveK widens the Gray-code walk's single word: brute force
+// stays bounded by MaxExhaustiveBeats, so longer bursts decline.
+//
 //dbi:hotpath
 func wordsExhaustiveK(k *Kernel, prev bus.LineState, b bus.Burst, words []uint64) bool {
 	m, ok := maskExhaustiveK(k, prev, b)
@@ -652,23 +656,6 @@ func wordsExhaustiveK(k *Kernel, prev bus.LineState, b bus.Burst, words []uint64
 		words[0] |= uint64(m)
 	}
 	return true
-}
-
-// ---- Generic fallback: interface fast paths bound once ----------------
-
-//dbi:hotpath
-func maskIfaceK(k *Kernel, prev bus.LineState, b bus.Burst) (bus.InvMask, bool) {
-	return k.menc.EncodeMask(prev, b)
-}
-
-//dbi:hotpath
-func wordsIfaceK(k *Kernel, prev bus.LineState, b bus.Burst, words []uint64) bool {
-	return k.wenc.EncodeMaskWords(prev, b, words)
-}
-
-//dbi:hotpath
-func batchIfaceK(k *Kernel, lb *LaneBatch) bool {
-	return k.benc.EncodeBatch(lb)
 }
 
 // ---- The fused unit-coefficient BL8 core -----------------------------

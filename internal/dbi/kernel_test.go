@@ -12,8 +12,8 @@ import (
 // thirdParty is the kernel surface's third-party probe: an EncodeInto-only
 // scheme registered from the test binary exactly as an external package
 // would register one. It reports Stateful() true to opt out of the
-// registry-wide stateless fast-path sweeps (it deliberately implements no
-// mask interfaces), but it is pure — any two instances agree — which is
+// registry-wide stateless fast-path sweeps (it deliberately has no native
+// kernel), but it is pure — any two instances agree — which is
 // what lets the kernel fuzz compare a compiled instance against a freshly
 // constructed oracle instance.
 type thirdParty struct{}
@@ -334,6 +334,61 @@ func TestLookupKernelCaching(t *testing.T) {
 	}
 	if _, err := LookupKernel("BOGUS", FixedWeights, Geometry{}); err == nil {
 		t.Error("LookupKernel(BOGUS) should fail")
+	}
+}
+
+// TestKernelCacheBounded: the kernel cache is keyed by weights a serving
+// client chooses, so distinct lookups past the cap must not grow it, and
+// the uncached kernels compiled past the cap must encode exactly like
+// Compile's.
+func TestKernelCacheBounded(t *testing.T) {
+	var added []kernelKey
+	t.Cleanup(func() {
+		for _, key := range added {
+			if _, ok := kernelCache.LoadAndDelete(key); ok {
+				kernelCached.Add(-1)
+			}
+		}
+	})
+	weightsAt := func(i int) Weights { return Weights{Alpha: 1, Beta: 1 + float64(i)*0.001} }
+	for i := 0; i < maxCachedKernels+100; i++ {
+		added = append(added, kernelKey{name: "OPT", w: weightsAt(i)})
+		if _, err := LookupKernel("OPT", weightsAt(i), Geometry{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	entries := 0
+	kernelCache.Range(func(any, any) bool { entries++; return true })
+	if entries > maxCachedKernels {
+		t.Fatalf("kernel cache holds %d entries past its cap of %d", entries, maxCachedKernels)
+	}
+
+	w := weightsAt(maxCachedKernels + 50)
+	k1, err := LookupKernel("OPT", w, Geometry{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	k2, _ := LookupKernel("OPT", w, Geometry{})
+	if k1 == k2 {
+		t.Fatal("a lookup past the cap was cached")
+	}
+	ref, err := Compile("OPT", w, Geometry{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(404))
+	for _, n := range []int{0, 1, 8, 64, 65, 200} {
+		prev, b := randomWideBurst(rng, n)
+		gc, gs := k1.Advance(prev, b)
+		wc, ws := ref.Advance(prev, b)
+		if gc != wc || gs != ws {
+			t.Fatalf("n=%d: uncached kernel (%+v, %+v) != Compile (%+v, %+v)", n, gc, gs, wc, ws)
+		}
+		gm, gok := k1.EncodeMask(prev, b)
+		wm, wok := ref.EncodeMask(prev, b)
+		if gm != wm || gok != wok {
+			t.Fatalf("n=%d: uncached mask (%b, %v) != Compile (%b, %v)", n, gm, gok, wm, wok)
+		}
 	}
 }
 

@@ -1,5 +1,6 @@
-// mask.go is the bit-parallel encode core: every scheme's EncodeMask fast
-// path, the integer-cost trellis behind the optimal encoders, and the
+// mask.go is the bit-parallel encode core: the single-word EncodeMask
+// paths the compiled kernels bind, the integer-cost trellis behind the
+// optimal encoders, and the
 // scaled-integer weight detection that decides when exact integer
 // arithmetic may replace the float dynamic program.
 //
@@ -24,39 +25,6 @@ import (
 
 	"dbiopt/internal/bus"
 )
-
-// MaskEncoder is the bit-parallel fast path of an Encoder: EncodeMask
-// computes the per-beat inversion pattern of b as a packed bus.InvMask. ok
-// reports whether the fast path applies — the burst fits bus.MaxMaskBeats
-// and, for the weighted schemes, the weights are exactly representable
-// where exactness is required. When ok is false the caller must fall back
-// to EncodeInto; when ok is true the mask is bit-identical to the flags
-// EncodeInto produces for the same inputs (pinned by the mask property
-// tests and FuzzMaskEquivalence).
-//
-// All nine built-in schemes implement MaskEncoder; Stream, the adaptive
-// shadow chains and the parallel cost drivers probe for it once and run
-// mask-native from then on.
-type MaskEncoder interface {
-	EncodeMask(prev bus.LineState, b bus.Burst) (bus.InvMask, bool)
-}
-
-// EncodeMaskOf runs enc's bit-parallel fast path when it has one; ok is
-// false when enc does not implement MaskEncoder or its fast path declines
-// the burst.
-func EncodeMaskOf(enc Encoder, prev bus.LineState, b bus.Burst) (bus.InvMask, bool) {
-	if me, ok := enc.(MaskEncoder); ok {
-		return me.EncodeMask(prev, b)
-	}
-	return 0, false
-}
-
-// maskEncoderOf returns enc's fast path or nil; the single place the
-// interface probe lives, so hot paths can cache the result.
-func maskEncoderOf(enc Encoder) MaskEncoder {
-	me, _ := enc.(MaskEncoder)
-	return me
-}
 
 // Integer-weight detection. Shortest paths are invariant under uniform
 // positive scaling of the edge weights, so whenever alpha and beta share a
@@ -113,15 +81,17 @@ func init() {
 	}
 }
 
-// EncodeMask implements MaskEncoder: RAW never inverts.
+// EncodeMask computes the per-beat inversion pattern of b as a packed
+// bus.InvMask, bit-identical to the flags EncodeInto produces; ok is false
+// past bus.MaxMaskBeats. RAW never inverts.
 //
 //dbi:hotpath
 func (Raw) EncodeMask(prev bus.LineState, b bus.Burst) (bus.InvMask, bool) {
 	return 0, len(b) <= bus.MaxMaskBeats
 }
 
-// EncodeMask implements MaskEncoder: the DC rule is a pure per-byte table
-// lookup.
+// EncodeMask is the single-word DC pattern (see Raw.EncodeMask): the rule
+// is a pure per-byte table lookup.
 //
 //dbi:hotpath
 func (DC) EncodeMask(prev bus.LineState, b bus.Burst) (bus.InvMask, bool) {
@@ -170,7 +140,7 @@ func acSeed(prev bus.LineState) (pp byte, pinv bool) {
 	return ^prev.Data, true
 }
 
-// EncodeMask implements MaskEncoder for the JEDEC AC scheme.
+// EncodeMask is the single-word JEDEC AC pattern (see Raw.EncodeMask).
 //
 //dbi:hotpath
 func (AC) EncodeMask(prev bus.LineState, b bus.Burst) (bus.InvMask, bool) {
@@ -181,8 +151,8 @@ func (AC) EncodeMask(prev bus.LineState, b bus.Burst) (bus.InvMask, bool) {
 	return acMaskFrom(0, pp, pinv, b, 0), true
 }
 
-// EncodeMask implements MaskEncoder for ACDC: the DC table decides the
-// first beat, the AC recurrence the rest.
+// EncodeMask is the single-word ACDC pattern (see Raw.EncodeMask): the DC
+// table decides the first beat, the AC recurrence the rest.
 //
 //dbi:hotpath
 func (ACDC) EncodeMask(prev bus.LineState, b bus.Burst) (bus.InvMask, bool) {
@@ -194,40 +164,6 @@ func (ACDC) EncodeMask(prev bus.LineState, b bus.Burst) (bus.InvMask, bool) {
 	}
 	m := bus.InvMask(dcInv[b[0]])
 	return acMaskFrom(m, b[0], m == 1, b, 1), true
-}
-
-// EncodeMask implements MaskEncoder for the weighted greedy heuristic. The
-// fast path requires exactly representable weights so the integer per-beat
-// comparison reproduces the float one bit for bit; other weights decline
-// and the caller falls back to the float EncodeInto.
-//
-//dbi:hotpath
-func (g Greedy) EncodeMask(prev bus.LineState, b bus.Burst) (bus.InvMask, bool) {
-	if len(b) > bus.MaxMaskBeats {
-		return 0, false
-	}
-	ia, ib, ok := g.Weights.integerize()
-	if !ok {
-		return 0, false
-	}
-	var m bus.InvMask
-	pp, pinv := acSeed(prev)
-	for t, v := range b {
-		y := int64(bus.Ones(pp ^ v))
-		pv := int64(bus.Ones(v))
-		x, d := y, int64(1) // wire-domain distance and previous DBI level
-		if pinv {
-			x, d = 8-y, 0
-		}
-		plain := ia*(x+1-d) + ib*(8-pv)
-		flipped := ia*(8-x+d) + ib*(pv+1)
-		inv := flipped < plain
-		if inv {
-			m |= 1 << t
-		}
-		pp, pinv = v, inv
-	}
-	return m, true
 }
 
 // trellisMaskInt is the integer-cost Viterbi forward/backward pass for
@@ -338,9 +274,10 @@ func backtrackMask(fromPlain, fromInv uint64, invCheaper bool, n int) bus.InvMas
 	return bus.InvMask(m)
 }
 
-// EncodeMask implements MaskEncoder for the optimal encoder: the integer
-// trellis when the weights have an exact integer scale, the float trellis
-// otherwise. Both fit any burst within the mask bound.
+// EncodeMask is the single-word path of the optimal encoder, which
+// EncodeInto runs within the mask bound: the integer trellis when the
+// weights have an exact integer scale, the float trellis otherwise. ok is
+// false past bus.MaxMaskBeats.
 //
 //dbi:hotpath
 func (o Opt) EncodeMask(prev bus.LineState, b bus.Burst) (bus.InvMask, bool) {
@@ -357,9 +294,9 @@ func (o Opt) EncodeMask(prev bus.LineState, b bus.Burst) (bus.InvMask, bool) {
 	return trellisMaskFloat(prev, b, o.Weights), true
 }
 
-// EncodeMask implements MaskEncoder for the quantised encoder: its
-// coefficients are integers by construction, so the integer trellis always
-// applies.
+// EncodeMask is the single-word path of the quantised encoder, which
+// EncodeInto runs within the mask bound: its coefficients are integers by
+// construction, so the integer trellis always applies.
 //
 //dbi:hotpath
 func (q Quantized) EncodeMask(prev bus.LineState, b bus.Burst) (bus.InvMask, bool) {
@@ -373,10 +310,11 @@ func (q Quantized) EncodeMask(prev bus.LineState, b bus.Burst) (bus.InvMask, boo
 	return trellisMaskInt(prev, b, int64(q.Alpha), int64(q.Beta)), true
 }
 
-// EncodeMask implements MaskEncoder for the exhaustive reference: a
-// Gray-code walk over all 2^n patterns with O(1) incremental cost deltas.
-// It needs exact integer weights (delta accumulation must not drift) and
-// the usual beat bound; everything else declines to the full float scan.
+// EncodeMask is the exhaustive reference's fast path, which EncodeInto
+// runs when it applies: a Gray-code walk over all 2^n patterns with O(1)
+// incremental cost deltas. It needs exact integer weights (delta
+// accumulation must not drift) and the usual beat bound; everything else
+// declines to the full float scan.
 //
 // Edge costs E[i][from<<1|to] are precomputed once — the same four-edge
 // algebra the trellis uses — and each Gray step flips exactly one beat t,
@@ -401,8 +339,8 @@ func (e Exhaustive) EncodeMask(prev bus.LineState, b bus.Burst) (bus.InvMask, bo
 	return exhaustiveMask(prev, b, ia, ib), true
 }
 
-// exhaustiveMask is the Gray-code scan proper, shared by the interface
-// method above and the compiled kernel (which integerizes the weights once
+// exhaustiveMask is the Gray-code scan proper, shared by the method above
+// and the compiled kernel (which integerizes the weights once
 // at compile time instead of per call). The caller guarantees
 // 0 < len(b) <= MaxExhaustiveBeats and exact integer coefficients.
 //

@@ -33,16 +33,12 @@ func maskSchemes(t testing.TB, w Weights) []Encoder {
 	return encs
 }
 
-// checkMaskMatchesBools pins EncodeMask against EncodeInto for one case:
-// identical flags, and identical wires and costs through the mask-native
-// bus helpers.
+// checkMaskMatchesBools pins the compiled kernel's EncodeMask against
+// EncodeInto for one case: identical flags, and identical wires and costs
+// through the mask-native bus helpers.
 func checkMaskMatchesBools(t *testing.T, enc Encoder, prev bus.LineState, b bus.Burst) {
 	t.Helper()
-	me, ok := enc.(MaskEncoder)
-	if !ok {
-		t.Fatalf("%s does not implement MaskEncoder", enc.Name())
-	}
-	m, ok := me.EncodeMask(prev, b)
+	m, ok := kernelOf(enc).EncodeMask(prev, b)
 	if !ok {
 		if _, expectOK := enc.(Raw); expectOK && len(b) <= bus.MaxMaskBeats {
 			t.Fatalf("%s declined a %d-beat burst", enc.Name(), len(b))
@@ -218,13 +214,12 @@ func TestQuantizedMaskMatchesReference(t *testing.T) {
 	}
 }
 
-// TestEncodeMaskLongBurstDeclines: every scheme declines bursts beyond the
-// mask bound instead of truncating them.
+// TestEncodeMaskLongBurstDeclines: every scheme's kernel declines bursts
+// beyond the mask bound instead of truncating them.
 func TestEncodeMaskLongBurstDeclines(t *testing.T) {
 	long := make(bus.Burst, bus.MaxMaskBeats+1)
 	for _, enc := range maskSchemes(t, FixedWeights) {
-		me := enc.(MaskEncoder)
-		if _, ok := me.EncodeMask(bus.InitialLineState, long); ok {
+		if _, ok := kernelOf(enc).EncodeMask(bus.InitialLineState, long); ok {
 			t.Errorf("%s accepted a burst beyond MaxMaskBeats", enc.Name())
 		}
 	}
@@ -242,15 +237,11 @@ func TestEncodeMaskZeroAlloc(t *testing.T) {
 		workload[i] = randomBurst(rng, 8)
 	}
 	for name, enc := range statelessEncoders(t) {
-		me, ok := enc.(MaskEncoder)
-		if !ok {
-			t.Errorf("%s does not implement MaskEncoder", name)
-			continue
-		}
+		kern := kernelOf(enc)
 		t.Run(name, func(t *testing.T) {
 			i := 0
 			allocs := testing.AllocsPerRun(200, func() {
-				me.EncodeMask(bus.InitialLineState, workload[i%len(workload)])
+				kern.EncodeMask(bus.InitialLineState, workload[i%len(workload)])
 				i++
 			})
 			if allocs != 0 {

@@ -7,15 +7,18 @@ import (
 )
 
 // Adapter chooses the coding scheme a Stream applies, burst by burst. An
-// adaptive stream asks Current for the live encoder before each burst and
-// reports the burst back through Observe afterwards, which is where an
-// implementation (internal/adapt's windowed controller) accumulates shadow
-// costs and decides switches. One Adapter drives exactly one lane: adapters
-// carry per-lane state and must not be shared between streams.
+// adaptive stream asks Current for the live scheme's compiled kernel before
+// each burst and reports the burst back through Observe afterwards, which
+// is where an implementation (internal/adapt's windowed controller)
+// accumulates shadow costs and decides switches. One Adapter drives exactly
+// one lane: adapters carry per-lane state and must not be shared between
+// streams.
 type Adapter interface {
-	// Current returns the live encoder the next burst must be encoded
-	// with. It must be stable between Observe calls.
-	Current() Encoder
+	// Current returns the compiled kernel of the live scheme the next
+	// burst must be encoded with. It must be stable between Observe calls.
+	// Implementations compile their candidates once, up front, so a
+	// switch costs the stream nothing but a different pointer.
+	Current() *Kernel
 	// Observe accounts one burst transmitted on the live wire. cost is
 	// the exact activity of the transmission the stream just performed —
 	// the live scheme's shadow chain coincides with the real wire, so an
@@ -34,19 +37,6 @@ type Adapter interface {
 	Shardable() bool
 }
 
-// KernelAdapter is an Adapter that holds pre-compiled kernels for its
-// candidate schemes. Streams detect it once at construction: each burst
-// then binds the live kernel directly, with no per-burst interface probing
-// and no recompilation on switch (internal/adapt's controller implements
-// this). Plain Adapters still work — the stream compiles on demand and
-// re-compiles only when the live encoder changes.
-type KernelAdapter interface {
-	Adapter
-	// CurrentKernel returns the compiled form of Current. The two must
-	// agree between Observe calls.
-	CurrentKernel() *Kernel
-}
-
 // Stream wraps an Encoder with the persistent per-lane line state a real
 // PHY maintains: the wires do not reset between bursts, so the encoding of
 // each burst starts from the final wire state of the previous one. Stream
@@ -58,15 +48,13 @@ type KernelAdapter interface {
 type Stream struct {
 	// kern is the compiled form of the stream's scheme: every encode
 	// decision (mask routing, trellis flavour, coefficients) was made once
-	// at compile time, so Transmit is dispatch-free. For adaptive streams
-	// it caches the most recently used kernel (nil until first use when the
-	// adapter is a KernelAdapter, which supplies kernels itself).
-	kern     *Kernel
-	adapter  Adapter       // nil for fixed-scheme streams
-	kadapter KernelAdapter // adapter's compiled view, when it has one
-	state    bus.LineState
-	total    bus.Cost
-	beats    int
+	// at compile time, so Transmit is dispatch-free. Nil for adaptive
+	// streams, whose adapter supplies the live kernel per burst.
+	kern    *Kernel
+	adapter Adapter // nil for fixed-scheme streams
+	state   bus.LineState
+	total   bus.Cost
+	beats   int
 	// inv, wire and wmask are reusable scratch: the inversion pattern of
 	// the current burst and the wire image built from it. They grow to the
 	// largest burst seen and are then recycled on every Transmit. inv is
@@ -100,20 +88,14 @@ func NewAdaptiveStream(a Adapter) *Stream {
 	if a == nil {
 		panic("dbi: NewAdaptiveStream with nil adapter")
 	}
-	s := &Stream{adapter: a, state: bus.InitialLineState}
-	if ka, ok := a.(KernelAdapter); ok {
-		s.kadapter = ka
-	} else {
-		s.kern = kernelOf(a.Current())
-	}
-	return s
+	return &Stream{adapter: a, state: bus.InitialLineState}
 }
 
 // Encoder returns the wrapped policy; for an adaptive stream, the live
 // scheme the next burst would be encoded with.
 func (s *Stream) Encoder() Encoder {
 	if s.adapter != nil {
-		return s.adapter.Current()
+		return s.adapter.Current().enc
 	}
 	return s.kern.enc
 }
@@ -143,10 +125,11 @@ func (s *Stream) State() bus.LineState { return s.state }
 // fill, cost and state in one straight-line pass); other mask-native
 // schemes keep the inversion pattern packed in one register (or a
 // bus.WideMask word per 64 beats past bus.MaxMaskBeats) and fill the wire
-// branch-free; only schemes without any mask form (the *Noisy wrapper)
-// take the []bool path, bit-identical by the kernel equivalence contracts.
-// For adaptive streams the kernel comes from the adapter (pre-compiled per
-// candidate when it is a KernelAdapter); nothing is probed per burst.
+// branch-free; only schemes without a native kernel (*Noisy, third-party
+// registrations) take the []bool path, bit-identical by the kernel
+// equivalence contracts. For adaptive streams the kernel comes from the
+// adapter, pre-compiled per candidate; nothing is probed or compiled per
+// burst.
 //
 // The returned Wire aliases the stream's internal scratch: it is valid until
 // the next Transmit or Reset on this stream. Callers that retain it longer
@@ -155,10 +138,8 @@ func (s *Stream) State() bus.LineState { return s.state }
 //dbi:hotpath
 func (s *Stream) Transmit(b bus.Burst) bus.Wire {
 	k := s.kern
-	if s.kadapter != nil {
-		k = s.kadapter.CurrentKernel()
-	} else if s.adapter != nil {
-		k = s.kernelFor(s.adapter.Current())
+	if s.adapter != nil {
+		k = s.adapter.Current()
 	}
 	var cost bus.Cost
 	var next bus.LineState
@@ -177,19 +158,6 @@ func (s *Stream) Transmit(b bus.Burst) bus.Wire {
 		s.adapter.Observe(b, cost, s.state)
 	}
 	return w
-}
-
-// kernelFor returns the compiled kernel for the adapter-selected encoder,
-// reusing the cached one while the live scheme is unchanged. Switches hit
-// the encoder-keyed kernel cache, so even adapters that ping-pong between
-// schemes compile each one exactly once.
-func (s *Stream) kernelFor(enc Encoder) *Kernel {
-	if k := s.kern; k != nil && k.comparable && k.enc == enc {
-		return k
-	}
-	k := kernelOf(enc)
-	s.kern = k
-	return k
 }
 
 // TotalCost returns the accumulated zero and transition counts of every

@@ -1,8 +1,8 @@
 // wide.go generalises the bit-parallel encode core past the single-word
-// bus.InvMask bound: every scheme's fast path re-expressed over word-packed
-// bus.WideMask patterns, so 128- and 256-beat bursts (the HBM/GDDR6-class
-// widths of DESIGN.md §9) encode mask-native instead of falling back to the
-// []bool slow path. The per-beat cost algebra is identical to mask.go; only
+// bus.InvMask bound: every native kernel's fast path re-expressed over
+// word-packed bus.WideMask patterns, so 128- and 256-beat bursts (the
+// HBM/GDDR6-class widths of DESIGN.md §9) encode mask-native instead of
+// falling back to the []bool slow path. The per-beat cost algebra is identical to mask.go; only
 // the backpointer and output representations widen from one uint64 to a
 // word slice, inline-backed up to bus.MaxInlineWideBeats.
 package dbi
@@ -13,44 +13,6 @@ import (
 
 	"dbiopt/internal/bus"
 )
-
-// WideMaskEncoder is the any-length bit-parallel fast path of an Encoder:
-// EncodeMaskWords computes the per-beat inversion pattern of b into the
-// word-packed form of bus.WideMask (beat t = bit t&63 of words[t>>6]). The
-// caller provides words covering bus.WideWords(len(b)) words, zeroed —
-// bus.WideMask.Reset establishes exactly that. ok reports whether the fast
-// path applies; when false the caller must fall back to EncodeInto, and when
-// true the pattern is bit-identical to the flags EncodeInto produces for the
-// same inputs (pinned by FuzzWideMaskEquivalence).
-//
-// All nine built-in schemes implement WideMaskEncoder. EXHAUSTIVE remains
-// bounded by MaxExhaustiveBeats (brute force does not widen); the weighted
-// schemes decline exactly when their single-word fast path would — weights
-// without the required exact representation — plus, for the trellis, bursts
-// so long that exact integer accumulation could diverge from the float
-// oracle.
-type WideMaskEncoder interface {
-	EncodeMaskWords(prev bus.LineState, b bus.Burst, words []uint64) bool
-}
-
-// EncodeWideMaskOf runs enc's wide fast path into m when it has one,
-// resetting m for len(b) beats first; ok is false when enc does not
-// implement WideMaskEncoder or its fast path declines the burst.
-func EncodeWideMaskOf(enc Encoder, prev bus.LineState, b bus.Burst, m *bus.WideMask) bool {
-	we, ok := enc.(WideMaskEncoder)
-	if !ok {
-		return false
-	}
-	m.Reset(len(b))
-	return we.EncodeMaskWords(prev, b, m.Words())
-}
-
-// wideMaskEncoderOf returns enc's wide fast path or nil; the single place
-// the interface probe lives, so hot paths can cache the result.
-func wideMaskEncoderOf(enc Encoder) WideMaskEncoder {
-	we, _ := enc.(WideMaskEncoder)
-	return we
-}
 
 // acInv[x] is 1 iff the payload-domain AC recurrence flips on a Hamming
 // distance of x's popcount: ones(x) >= 5. Tabulated over the XOR of
@@ -66,8 +28,12 @@ func init() {
 	}
 }
 
-// EncodeMaskWords implements WideMaskEncoder: RAW never inverts, at any
-// length — the caller's zeroed words already are the answer.
+// EncodeMaskWords computes the per-beat inversion pattern of b into the
+// word-packed form of bus.WideMask (beat t = bit t&63 of words[t>>6]) at
+// any length, bit-identical to the flags EncodeInto produces. The caller
+// provides bus.WideWords(len(b)) zeroed words, as bus.WideMask.Reset
+// establishes. RAW never inverts — the zeroed words already are the
+// answer.
 //
 //dbi:hotpath
 func (Raw) EncodeMaskWords(prev bus.LineState, b bus.Burst, words []uint64) bool {
@@ -102,7 +68,8 @@ func dcMaskWords(b bus.Burst, words []uint64) {
 	}
 }
 
-// EncodeMaskWords implements WideMaskEncoder: the DC rule at any length.
+// EncodeMaskWords is the word-packed DC pattern at any length (see
+// Raw.EncodeMaskWords).
 //
 //dbi:hotpath
 func (DC) EncodeMaskWords(prev bus.LineState, b bus.Burst, words []uint64) bool {
@@ -168,8 +135,8 @@ func acSeedByte(prev bus.LineState) (pp byte, pinv byte) {
 	return ^prev.Data, 1
 }
 
-// EncodeMaskWords implements WideMaskEncoder for the JEDEC AC scheme at any
-// length.
+// EncodeMaskWords is the word-packed JEDEC AC pattern at any length (see
+// Raw.EncodeMaskWords).
 //
 //dbi:hotpath
 func (AC) EncodeMaskWords(prev bus.LineState, b bus.Burst, words []uint64) bool {
@@ -178,8 +145,9 @@ func (AC) EncodeMaskWords(prev bus.LineState, b bus.Burst, words []uint64) bool 
 	return true
 }
 
-// EncodeMaskWords implements WideMaskEncoder for ACDC at any length: the DC
-// table decides the first beat, the AC recurrence the rest.
+// EncodeMaskWords is the word-packed ACDC pattern at any length (see
+// Raw.EncodeMaskWords): the DC table decides the first beat, the AC
+// recurrence the rest.
 //
 //dbi:hotpath
 func (ACDC) EncodeMaskWords(prev bus.LineState, b bus.Burst, words []uint64) bool {
@@ -192,8 +160,11 @@ func (ACDC) EncodeMaskWords(prev bus.LineState, b bus.Burst, words []uint64) boo
 	return true
 }
 
-// greedyMaskWords is the integer per-beat weighted comparison of
-// Greedy.EncodeMask without the single-word bound.
+// greedyMaskWords is the weighted greedy heuristic in exact integer
+// arithmetic at any length: each beat inverts iff the weighted cost of
+// sending it inverted is strictly lower, the comparison Greedy.EncodeInto
+// makes in float. The compiled kernel runs it only for weights with an
+// exact integer scale, where the two agree bit for bit.
 //
 //dbi:hotpath
 func greedyMaskWords(prev bus.LineState, b bus.Burst, ia, ib int64, words []uint64) {
@@ -213,20 +184,6 @@ func greedyMaskWords(prev bus.LineState, b bus.Burst, ia, ib int64, words []uint
 		}
 		pp, pinv = v, inv
 	}
-}
-
-// EncodeMaskWords implements WideMaskEncoder for the weighted greedy
-// heuristic: exactly representable weights at any length, declining
-// otherwise like the single-word path.
-//
-//dbi:hotpath
-func (g Greedy) EncodeMaskWords(prev bus.LineState, b bus.Burst, words []uint64) bool {
-	ia, ib, ok := g.Weights.integerize()
-	if !ok {
-		return false
-	}
-	greedyMaskWords(prev, b, ia, ib, words)
-	return true
 }
 
 // maxInlineWideWords is the stack-resident backpointer capacity of the wide
@@ -385,53 +342,4 @@ func trellisWideFloat(prev bus.LineState, b bus.Burst, wt Weights, words []uint6
 // 9*(ia+ib), over n beats plus the entry edge.
 func wideIntExact(n int, ia, ib int64) bool {
 	return 9*(ia+ib)*int64(n+1) < 1<<53
-}
-
-// EncodeMaskWords implements WideMaskEncoder for the optimal encoder: the
-// integer trellis whenever its decisions provably match the float oracle,
-// the float trellis (itself op-identical to encodeIntoTrellis) otherwise.
-// Both fit any burst length.
-//
-//dbi:hotpath
-func (o Opt) EncodeMaskWords(prev bus.LineState, b bus.Burst, words []uint64) bool {
-	n := len(b)
-	if n == 0 {
-		return true
-	}
-	if ia, ib, ok := o.Weights.integerize(); ok && wideIntExact(n, ia, ib) {
-		trellisWideInt(prev, b, ia, ib, words)
-		return true
-	}
-	trellisWideFloat(prev, b, o.Weights, words)
-	return true
-}
-
-// EncodeMaskWords implements WideMaskEncoder for the quantised encoder: its
-// coefficients are 3-bit integers, and its []bool oracle already runs exact
-// integer arithmetic, so the integer trellis applies at any length.
-//
-//dbi:hotpath
-func (q Quantized) EncodeMaskWords(prev bus.LineState, b bus.Burst, words []uint64) bool {
-	if len(b) == 0 {
-		return true
-	}
-	trellisWideInt(prev, b, int64(q.Alpha), int64(q.Beta), words)
-	return true
-}
-
-// EncodeMaskWords implements WideMaskEncoder for the exhaustive reference by
-// delegating to the Gray-code single-word walk: brute force stays bounded by
-// MaxExhaustiveBeats, so bursts beyond it (and weights without an exact
-// integer scale) decline.
-//
-//dbi:hotpath
-func (e Exhaustive) EncodeMaskWords(prev bus.LineState, b bus.Burst, words []uint64) bool {
-	m, ok := e.EncodeMask(prev, b)
-	if !ok {
-		return false
-	}
-	if len(b) > 0 {
-		words[0] |= uint64(m)
-	}
-	return true
 }

@@ -31,7 +31,8 @@ func randomWideBurst(rng *rand.Rand, n int) (bus.LineState, bus.Burst) {
 }
 
 // TestEncodeMaskWordsMatchesEncodeInto pins the wide-path contract for every
-// registered scheme: whenever EncodeMaskWords accepts a burst, its pattern —
+// registered scheme: whenever its kernel's EncodeMaskWords accepts a burst,
+// its pattern —
 // and the wide cost and final state derived from it — must be bit-identical
 // to the []bool EncodeInto oracle, across every length boundary.
 func TestEncodeMaskWordsMatchesEncodeInto(t *testing.T) {
@@ -46,17 +47,14 @@ func TestEncodeMaskWordsMatchesEncodeInto(t *testing.T) {
 			if !Stateless(enc) {
 				continue
 			}
-			we, ok := enc.(WideMaskEncoder)
-			if !ok {
-				t.Fatalf("%s does not implement WideMaskEncoder", name)
-			}
+			kern := kernelOf(enc)
 			for _, n := range wideTestLengths {
 				if _, isEx := enc.(Exhaustive); isEx && n > 16 {
 					continue // brute force: EncodeInto panics past its bound
 				}
 				prev, b := randomWideBurst(rng, n)
 				m.Reset(n)
-				if !we.EncodeMaskWords(prev, b, m.Words()) {
+				if !kern.EncodeMaskWords(prev, b, m.Words()) {
 					continue // declined: []bool fallback is authoritative
 				}
 				inv := enc.Encode(prev, b)
@@ -89,16 +87,16 @@ func TestEncodeMaskWordsMatchesEncodeMask(t *testing.T) {
 			if err != nil || !Stateless(enc) {
 				continue
 			}
-			me, we := maskEncoderOf(enc), wideMaskEncoderOf(enc)
+			kern := kernelOf(enc)
 			for i := 0; i < 40; i++ {
 				n := rng.Intn(bus.MaxMaskBeats + 1)
 				if _, isEx := enc.(Exhaustive); isEx {
 					n = rng.Intn(13)
 				}
 				prev, b := randomWideBurst(rng, n)
-				sm, okNarrow := me.EncodeMask(prev, b)
+				sm, okNarrow := kern.EncodeMask(prev, b)
 				m.Reset(n)
-				okWide := we.EncodeMaskWords(prev, b, m.Words())
+				okWide := kern.EncodeMaskWords(prev, b, m.Words())
 				if okNarrow != okWide {
 					t.Fatalf("%s w=%+v n=%d: narrow ok=%v, wide ok=%v", name, w, n, okNarrow, okWide)
 				}
@@ -116,13 +114,15 @@ func TestEncodeMaskWordsMatchesEncodeMask(t *testing.T) {
 	}
 }
 
-// TestEncodeWideMaskOf covers the probe helper: schemes accept, a
-// mask-less encoder declines.
-func TestEncodeWideMaskOf(t *testing.T) {
+// TestKernelWideMaskFallback: a native kernel accepts a wide burst, and an
+// encoder without one (*Noisy) compiles to a kernel whose wide path
+// declines, leaving the burst to EncodeInto.
+func TestKernelWideMaskFallback(t *testing.T) {
 	rng := rand.New(rand.NewSource(122))
 	prev, b := randomWideBurst(rng, 200)
 	var m bus.WideMask
-	if !EncodeWideMaskOf(OptFixed(), prev, b, &m) {
+	m.Reset(len(b))
+	if !CompileEncoder(OptFixed(), Geometry{}).EncodeMaskWords(prev, b, m.Words()) {
 		t.Fatal("OptFixed declined a 200-beat burst")
 	}
 	inv := OptFixed().Encode(prev, b)
@@ -135,7 +135,8 @@ func TestEncodeWideMaskOf(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if EncodeWideMaskOf(noisy, prev, b, &m) {
+	m.Reset(len(b))
+	if CompileEncoder(noisy, Geometry{}).EncodeMaskWords(prev, b, m.Words()) {
 		t.Fatal("Noisy claimed a wide fast path")
 	}
 }
@@ -167,8 +168,9 @@ func TestWideTrellisIntMatchesFloat(t *testing.T) {
 }
 
 // TestWideEncodeZeroAlloc pins the allocation contract of the wide fast
-// paths themselves: for bursts within the inline bound, EncodeMaskWords is
-// allocation-free for every stateless scheme that accepts them.
+// paths themselves: for bursts within the inline bound, the kernel's
+// EncodeMaskWords is allocation-free for every stateless scheme that
+// accepts them.
 func TestWideEncodeZeroAlloc(t *testing.T) {
 	if racetag.Enabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -177,10 +179,10 @@ func TestWideEncodeZeroAlloc(t *testing.T) {
 	prev, b := randomWideBurst(rng, bus.MaxInlineWideBeats)
 	var m bus.WideMask
 	for _, enc := range []Encoder{Raw{}, DC{}, AC{}, ACDC{}, Greedy{Weights: FixedWeights}, OptFixed(), Quantized{Alpha: 3, Beta: 5}} {
-		we := wideMaskEncoderOf(enc)
+		kern := kernelOf(enc)
 		run := func() {
 			m.Reset(len(b))
-			if !we.EncodeMaskWords(prev, b, m.Words()) {
+			if !kern.EncodeMaskWords(prev, b, m.Words()) {
 				t.Fatalf("%s declined", enc.Name())
 			}
 		}
